@@ -1,17 +1,17 @@
-"""Microbenchmarks of the compiled routing/simulation performance core.
+"""Microbenchmarks of the routing/simulation performance core.
 
 Runs the same suite as ``qspr-map bench`` (see :mod:`repro.runner.bench`)
 under the benchmark harness: it times full place-route-simulate pipeline
-runs on the paper's circuits, measures the compiled-core speedup against the
-faithfully reproduced pre-refactor core, asserts both cores agree on every
-mapping result, and records the report via ``report_util`` so the session
-summary shows the trajectory tables.
+runs on the paper's circuits, measures the routing kernel solo (cold) and
+answering from the shared route store (warm), asserts both legs agree on
+every mapping result, and records the report via ``report_util`` so the
+session summary shows the trajectory tables.
 
 Scale knobs (environment):
 
-* ``REPRO_BENCH_PERF_FULL`` — set to ``1`` to time every bundled circuit and
-  both speedup probes (the ``qspr-map bench`` full mode); the default is the
-  quick subset, which keeps the CI smoke job fast.
+* ``REPRO_BENCH_PERF_FULL`` — set to ``1`` to time every bundled circuit
+  (the ``qspr-map bench`` full mode); the default is the quick subset,
+  which keeps the CI smoke job fast.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from report_util import emit as _emit
 from repro.runner.bench import (
     LARGEST_CIRCUIT,
     format_perf_report,
-    measure_speedup,
+    measure_routing_v2_speedup,
     run_perf_suite,
     time_case,
     QUICK_CASES,
@@ -41,35 +41,27 @@ def test_perf_suite_reports_trajectory():
         assert case["wall_seconds"] > 0
         assert 0 <= case["routing_seconds"] <= case["wall_seconds"]
     for entry in report["speedups"]:
-        # The equivalence gates inside measure_speedup and
-        # measure_event_core_speedup already asserted equal results; here we
-        # only require no regression.  Event-core entries are gated on the
-        # deterministic route-query ratio — their wall margin is thinner and
-        # shared-runner timing noise must not flake the harness.
-        if entry["kind"] == "event-core":
-            assert entry["route_query_speedup"] > 1.0, (
-                f"event core answered more route queries than the tick loop on "
-                f"{entry['circuit']}: {entry['route_query_speedup']:.2f}x"
-            )
-        else:
-            assert entry["speedup"] > 1.0, (
-                f"compiled core slower than the pre-refactor core on "
-                f"{entry['circuit']}: {entry['speedup']:.2f}x"
-            )
+        # The equivalence gate inside measure_routing_v2_speedup already
+        # asserted equal results; here only the shared store must pay off.
+        assert entry["route_cache_hit_rate"] >= 0.5, (
+            f"warm hit rate {entry['route_cache_hit_rate']:.1%} < 50% on "
+            f"{entry['circuit']}"
+        )
 
 
-def test_largest_circuit_speedup(benchmark):
-    """Headline number: compiled-core speedup on the largest bundled circuit."""
+def test_largest_circuit_warm_routing(benchmark):
+    """Headline number: warm-store routing on the largest bundled circuit."""
     entry = benchmark.pedantic(
-        measure_speedup, args=(LARGEST_CIRCUIT,), kwargs={"repeats": 3},
+        measure_routing_v2_speedup, args=(LARGEST_CIRCUIT,), kwargs={"repeats": 3},
         rounds=1, iterations=1,
     )
     benchmark.extra_info.update(
-        baseline_ms=round(entry["baseline_seconds"] * 1000, 1),
-        compiled_ms=round(entry["compiled_seconds"] * 1000, 1),
-        speedup=round(entry["speedup"], 2),
+        cold_routing_ms=round(entry["cold_routing_seconds"] * 1000, 1),
+        warm_routing_ms=round(entry["warm_routing_seconds"] * 1000, 1),
+        warm_speedup=round(entry["warm_speedup"], 2),
+        cold_heap_pops=entry["cold_heap_pops"],
     )
-    assert entry["speedup"] > 1.0
+    assert entry["warm_heap_pops"] == 0
 
 
 def test_single_case_timing(benchmark):

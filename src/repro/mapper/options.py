@@ -67,42 +67,11 @@ class MapperOptions:
         mvfb_patience: Consecutive non-improving runs that stop an MVFB seed.
         mvfb_max_runs_per_seed: Hard cap on placement runs per MVFB seed.
         random_seed: Seed for all randomised placement decisions.
-        compiled_routing: Run the router on the compiled routing core (CSR
-            Dijkstra kernel plus the epoch-validated route cache).  ``False``
-            selects the pre-refactor object-based core; results are
-            identical, only speed differs.  Kept selectable for differential
-            tests and the performance benchmarks.
-        event_core: Run the event-driven simulation core: pop the
-            timestamp-ordered event heap, apply the typed event's state
-            change, and re-attempt issue only when the event woke a blocked
-            instruction (or the run does not track wake sets).  ``False``
-            selects the tick-poll loop, which re-attempts every ready
-            instruction at every event timestamp.  Results are byte-identical
-            either way — only the event-loop and routing counters (and the
-            wall clock) differ — so the tick loop is kept selectable for
-            differential tests and the event-core benchmarks.
-        busy_wake_sets: Park routing-blocked instructions on the precise
-            wake-set keys of their failure (blocking-cut channels, occupancy
-            traps) and retry them only when one of those keys is woken.
-            **Deprecated:** wake sets are now the default path of the event
-            core and there is no reason to disable them outside differential
-            tests and benchmarks; the flag will eventually be removed
-            together with the tick loop.  Results are identical with the
-            feature on or off; only futile router calls (and therefore the
-            routing-core counters) drop.
-        routing_v2: Run the router's v2 fast path — region-scoped
-            route-cache invalidation, landmark (ALT) heap-pop pruning,
-            warm-started re-computation and batched candidate prefills (see
-            :class:`~repro.routing.router.Router`).  Plans and schedules are
-            byte-identical either way (held by the differential suites);
-            only the routing counters and wall time differ.  Requires
-            ``compiled_routing``; kept selectable for differential tests and
-            the performance benchmarks.
         shared_route_cache: Consult (and feed) the process-wide route store
             shared across all runs on the same fabric, technology and
-            routing policy.  Plans whose region footprint was idle when
-            computed are pure functions of geometry there, so sharing them
-            is safe; results are identical and only the cache-hit counters
+            routing policy.  Entries are served only on an exact match of
+            the channel occupancies their search read, so sharing them is
+            safe; results are identical and only the cache-hit counters
             change.  Off by default to keep default-scenario reports
             byte-stable — service workers, which map many jobs on one
             memoised fabric, turn it on.
@@ -122,10 +91,6 @@ class MapperOptions:
     mvfb_patience: int = 3
     mvfb_max_runs_per_seed: int = 40
     random_seed: int = 0
-    compiled_routing: bool = True
-    event_core: bool = True
-    busy_wake_sets: bool = True
-    routing_v2: bool = True
     shared_route_cache: bool = False
 
     def __post_init__(self) -> None:
@@ -218,14 +183,6 @@ class MapperOptions:
         )
         if self.placer_name == PlacerKind.MONTE_CARLO.value:
             text += f" m'={self.num_placements}"
-        if not self.compiled_routing:
-            text += " core=legacy"
-        if not self.event_core:
-            text += " sim=tick"
-        if not self.routing_v2:
-            text += " routing=v1"
-        if not self.busy_wake_sets:
-            text += " wake_sets=False"
         if self.shared_route_cache:
             text += " shared_routes=True"
         return text

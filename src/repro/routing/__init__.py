@@ -12,9 +12,10 @@ Components:
 * :mod:`repro.routing.weights` — the edge weight function of Eq. (2).
 * :mod:`repro.routing.congestion` — channel occupancy bookkeeping.
 * :mod:`repro.routing.dijkstra` — multi-source/multi-target shortest path
-  (the legacy object-based reference kernel).
-* :mod:`repro.routing.compiled` — the CSR-array routing core the router uses
-  by default; returns routes identical to the legacy kernel.
+  on the object graph (the reference kernel the compiled core is tested
+  against).
+* :mod:`repro.routing.compiled` — the CSR-array routing core the router
+  runs on; returns routes identical to the reference kernel.
 * :mod:`repro.routing.path` — expansion of a graph path into a timed
   :class:`RoutePlan` (per-channel occupancy intervals, moves and turns).
 * :mod:`repro.routing.trap_selection` — target trap choice near the median of

@@ -26,7 +26,7 @@ The Dijkstra kernel works entirely on preallocated per-node arrays
 query, every slot carries a *generation stamp*: bumping ``self._generation``
 invalidates all previous state in O(1).  The heap uses lazy deletion
 (superseded entries are skipped on pop) and the tie-breaking — a monotone
-push counter — matches the legacy kernel entry-for-entry, so both return
+push counter — matches the reference kernel entry-for-entry, so both return
 identical routes, not merely equal-cost ones.
 
 **Weight synchronisation.**  Edge weights depend on channel occupancy, which
@@ -42,11 +42,11 @@ naturally.
 **Frontier pruning.**  The kernel skips pushing any tentative distance that
 is already at or above the cheapest completed route.  ``best_total`` only
 ever decreases and all costs are non-negative, so such an entry could never
-improve the answer; in the legacy kernel it would only ever be popped after
+improve the answer; in the reference kernel it would only ever be popped after
 the termination condition fired.  The pruning changes heap-pop counts, never
 distances, origins or routes.
 
-**Landmark pruning (ALT, v2).**  With ``use_landmarks=True`` the kernel
+**Landmark pruning (ALT).**  With ``use_landmarks=True`` the kernel
 additionally prunes against a congestion-free lower bound: ~8 landmark nodes
 are chosen once per fabric by farthest-point selection and the
 congestion-free distance from each landmark to every node is precomputed
@@ -67,14 +67,14 @@ in-search completion is found.  Landmarks require a weight-symmetric graph
 (checked structurally at build time); asymmetric graphs silently fall back
 to plain Dijkstra.
 
-**Region footprints (v2).**  When ``regions_out`` is given, the kernel
+**Region footprints.**  When ``regions_out`` is given, the kernel
 records the spatial regions (see :mod:`repro.routing.regions`) of every
 channel edge leaving a settled node.  Those are exactly the weights the
 search *read*, so a cached result stays byte-identical for as long as no
 channel in those regions (plus the caller's own attachment channels)
 changes — the validity predicate of the router's region-scoped route cache.
 
-**Batched multi-target search (v2).**  :meth:`shortest_routes_batch`
+**Batched multi-target search.**  :meth:`shortest_routes_batch`
 answers one source set against several target groups (the candidate
 meeting traps of dual-operand planning) in a single kernel pass.  Each
 group keeps its own ``best_total``/winner and *freezes* exactly where its
@@ -298,7 +298,7 @@ class CompiledRoutingGraph:
         self._visited_gen = [0] * num_nodes
         self._generation = 0
 
-        # v2: per-node spatial-region bitmask — the regions of every channel
+        # Per-node spatial-region bitmask — the regions of every channel
         # edge *leaving* the node, i.e. the weights a search reads when it
         # settles the node.  OR-ing the masks of the settled set yields the
         # query's region footprint for the router's region-scoped cache.
@@ -378,7 +378,7 @@ class CompiledRoutingGraph:
             lengths = self._edge_length
             is_turn = self._edge_is_turn
             for e in range(len(base)):
-                # ``length * move_delay`` is exactly the legacy Eq. (2) value
+                # ``length * move_delay`` is exactly the reference Eq. (2) value
                 # for an unoccupied channel: (0 + 1) * length * T_move.
                 base[e] = turn_cost if is_turn[e] else lengths[e] * move_delay
                 self._set_edge_weight(e, base[e])
@@ -408,7 +408,7 @@ class CompiledRoutingGraph:
                 if count >= capacity:
                     self._set_edge_weight(e, _INF)
                 else:
-                    # Multiplication order matches the legacy kernel exactly:
+                    # Multiplication order matches the reference kernel exactly:
                     # ((n + 1) * length) is an exact integer, then one float
                     # multiply — bit-identical to weights.channel_weight.
                     self._set_edge_weight(e, (count + 1) * lengths[e] * move_delay)
@@ -624,7 +624,7 @@ class CompiledRoutingGraph:
 
         Returns:
             The cheapest :class:`DijkstraResult` — identical, route-for-route,
-            to the legacy kernel's answer — or ``None`` when no finite route
+            to the reference kernel's answer — or ``None`` when no finite route
             exists.
         """
         node_index = self._node_index

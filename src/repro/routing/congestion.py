@@ -20,7 +20,7 @@ On top of the global epoch the tracker keeps **region stamps**: the fabric's
 channels are partitioned into a few spatial regions (see
 :mod:`repro.routing.regions`) and every mutation of a channel re-stamps only
 that channel's region with the new epoch.  A consumer that recorded which
-regions its computation *touched* (the router's v2 route cache) can then
+regions its computation *touched* (the router's route cache) can then
 survive congestion changes elsewhere on the fabric — the check degrades from
 "any change anywhere evicts" to "only changes in my footprint evict".
 """
@@ -70,17 +70,6 @@ class CongestionTracker:
         """
         return self._epoch
 
-    @property
-    def is_idle(self) -> bool:
-        """Whether no channel currently holds a reservation.
-
-        Idle-congestion route plans depend only on the fabric geometry and
-        the routing policy, so consumers (the shared idle-route store) may
-        reuse them across trackers — something epoch tags, which are unique
-        per tracker, can never express.
-        """
-        return not self._occupancy
-
     def occupancy(self, channel_id: ChannelId) -> int:
         """Current number of qubits using (or booked to use) ``channel_id``."""
         return self._occupancy[channel_id]
@@ -92,7 +81,7 @@ class CongestionTracker:
     def regions_unchanged_since(self, regions, epoch: int) -> bool:
         """Whether no channel in any of ``regions`` changed after ``epoch``.
 
-        This is the v2 route-cache validity check: a plan whose search only
+        This is the route cache's fast validity check: a plan whose search only
         touched ``regions`` re-computes byte-identically iff every one of
         those regions still carries a stamp ≤ the epoch the plan was
         computed under.
@@ -132,19 +121,6 @@ class CongestionTracker:
     def snapshot(self) -> dict[ChannelId, int]:
         """A copy of the current occupancy map (non-zero entries only)."""
         return {channel: count for channel, count in self._occupancy.items() if count}
-
-    def full_channels(self) -> list[ChannelId]:
-        """Channels with no residual capacity (the scheduler's wake-set keys).
-
-        A ready instruction that cannot be routed is blocked by (a subset of)
-        these channels; the busy queue parks it on them and only a release of
-        one of them makes a retry worthwhile.
-        """
-        return [
-            channel
-            for channel, count in self._occupancy.items()
-            if count >= self.channel_capacity
-        ]
 
     # ------------------------------------------------------------------
     # Mutation

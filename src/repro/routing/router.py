@@ -20,11 +20,10 @@ from repro.fabric.components import ChannelId, Trap, TrapId
 from repro.fabric.fabric import Fabric
 from repro.routing.compiled import CompiledRoutingGraph, RoutingCoreStats
 from repro.routing.congestion import CongestionTracker
-from repro.routing.dijkstra import shortest_route
-from repro.routing.graph_model import GraphEdge, Node, RoutingGraph
+from repro.routing.graph_model import Node, RoutingGraph
 from repro.routing.path import RoutePlan, expand_route, stationary_plan
 from repro.routing.trap_selection import select_target_trap
-from repro.routing.weights import edge_weight, partial_channel_weight
+from repro.routing.weights import partial_channel_weight
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
 
 
@@ -151,13 +150,10 @@ class InstructionRoute:
         return sum(plan.total_turns for plan in self.plans)
 
 
-#: Route-cache sentinel distinguishing "not cached" from a cached ``None``.
-_UNCACHED = object()
-
 _INF = float("inf")
 
-#: Cap on the cross-epoch cut-hint table (see ``Router._cut_hints``).  Hints
-#: survive epoch resets by design, so without a bound a long-running service
+#: Cap on the cut-hint table (see ``Router._cut_hints``).  Hints survive
+#: congestion changes by design, so without a bound a long-running service
 #: worker mapping congestion-heavy jobs would accumulate one entry per trap
 #: pair ever seen failing.  4096 comfortably covers the working set of the
 #: largest tracked fabrics (≤ a few hundred simultaneously blocked pairs)
@@ -165,7 +161,7 @@ _INF = float("inf")
 #: the pairs a crowded fabric keeps retrying stay resident.
 MAX_CUT_HINTS = 4096
 
-#: Snapshot entries kept per trap pair in the v2 route cache.  Congestion
+#: Snapshot entries kept per trap pair in the route cache.  Congestion
 #: oscillates as instructions issue and complete, so a pair's queries cycle
 #: through a small set of recurring occupancy states; keeping the last few
 #: snapshots (MRU order) lets a state the fabric *returns to* hit again
@@ -181,7 +177,7 @@ MAX_SHARED_SNAPSHOTS_PER_PAIR = 8
 
 
 class _CacheEntry:
-    """One v2 route-cache record: a plan plus its validity evidence.
+    """One route-cache record: a plan plus its validity evidence.
 
     Two validity checks layer, fast to slow:
 
@@ -285,24 +281,19 @@ def candidate_trap_key(trap_id: TrapId) -> tuple[str, TrapId]:
 class Router:
     """Plans operand journeys under a given routing policy.
 
-    Two performance layers sit behind the planning API without changing its
-    results:
-
-    * With ``use_compiled=True`` (the default) path selection runs on the
-      :class:`~repro.routing.compiled.CompiledRoutingGraph` kernel, which
-      returns routes identical to the legacy
-      :func:`~repro.routing.dijkstra.shortest_route`.  The legacy path is
-      kept selectable for differential testing and benchmarking.
-    * Planned qubit routes are memoised per ``(source trap, target trap)``
-      pair, validated by the congestion tracker's epoch: between congestion
-      changes, repeated trap-pair queries — the scheduler retries every
-      parked instruction against every candidate trap — are O(1).  Any net
-      congestion change advances the epoch and drops the cache, so a cached
-      plan can never outlive the congestion state it was computed under;
-      the balanced temporary reservations of parallel dual-operand planning
-      restore the epoch they started from and leave the cache intact.
-
-    Counters for both layers accumulate in :attr:`stats`.
+    Path selection runs on the
+    :class:`~repro.routing.compiled.CompiledRoutingGraph` kernel, whose
+    routes are identical to the object-graph reference
+    :func:`~repro.routing.dijkstra.shortest_route`.  Planned qubit routes
+    are memoised per ``(source trap, target trap)`` pair in a short MRU list
+    of occupancy-snapshot entries (see :class:`_CacheEntry`): an entry
+    serves any later query whose congestion state leaves every channel its
+    search read unchanged, so the scheduler's retries of parked
+    instructions against the same candidate traps are answered without a
+    search.  Misses run a landmark-guided (ALT) search warm-started from the
+    stale entry, and a candidate loop that fails its first trap prefetches
+    the remaining legs in one batched pass.  Every layer returns the plan a
+    cache-less search would; counters accumulate in :attr:`stats`.
     """
 
     def __init__(
@@ -311,65 +302,33 @@ class Router:
         technology: TechnologyParams = PAPER_TECHNOLOGY,
         policy: RoutingPolicy = QSPR_POLICY,
         *,
-        use_compiled: bool = True,
-        use_route_cache: bool = True,
-        routing_v2: bool = True,
         shared_store=None,
     ) -> None:
         self.fabric = fabric
         self.technology = technology
         self.policy = policy
-        #: Optional cross-run idle-route store (see
-        #: :mod:`repro.routing.shared_cache`).  Consulted only while the
-        #: congestion tracker is idle, where plans are congestion-free.
+        #: Optional cross-run route store (see
+        #: :mod:`repro.routing.shared_cache`), consulted on local misses and
+        #: fed with every fresh search.
         self.shared_store = shared_store
-        if use_compiled:
-            # Both graphs are built once per fabric and shared by every
-            # router on it (an MVFB search constructs one per pass).
-            self.graph = RoutingGraph.shared(fabric, turn_aware=policy.turn_aware)
-            self.compiled: CompiledRoutingGraph | None = CompiledRoutingGraph.shared(
-                self.graph
-            )
-        else:
-            # The pre-refactor behaviour, kept faithful for differential
-            # tests and benchmarks: a fresh object graph per router.
-            self.graph = RoutingGraph(fabric, turn_aware=policy.turn_aware)
-            self.compiled = None
-        self.use_route_cache = use_route_cache
-        #: Routing kernel v2: region-scoped cache invalidation, landmark
-        #: (ALT) pruning, warm-started re-computation and batched candidate
-        #: prefills.  Requires the compiled kernel and the route cache; both
-        #: the v1 and v2 modes return byte-identical plans (the differential
-        #: suite holds them equal), v2 just answers from cache far more
-        #: often and pops far fewer heap entries when it cannot.
-        self.routing_v2 = bool(routing_v2 and use_compiled and use_route_cache)
+        # Both graphs are built once per fabric and shared by every router
+        # on it (an MVFB search constructs one per pass).
+        self.graph = RoutingGraph.shared(fabric, turn_aware=policy.turn_aware)
+        self.compiled = CompiledRoutingGraph.shared(self.graph)
         self.stats = RoutingCoreStats()
-        #: Keyed by trap pair.  In v1 mode the values are plans (``None``
-        #: for unroutable pairs) and the whole table drops on every epoch
-        #: advance; in v2 mode the values are MRU-ordered lists of
-        #: :class:`_CacheEntry` records — one per distinct recent occupancy
-        #: state — validated per region footprint / occupancy snapshot.
-        self._route_cache: dict = {}
-        #: Blocking cuts of cached failures (same lifetime as the route
-        #: cache): lets a cache-hit failure report *why* it fails without
-        #: re-running the search.
-        self._failure_cuts: dict[tuple[TrapId, TrapId], tuple[ChannelId, ...]] = {}
-        #: Last known blocking cut per trap pair, kept **across** epochs.
-        #: A cut is a topological fact — every source→target path crosses one
-        #: of its channels, because any non-full edge leaving the exhausted
-        #: search region would have been relaxed into it — so fullness is its
-        #: only time-varying part.  When a later query finds every channel of
-        #: the remembered cut still full, the search must fail again and is
-        #: skipped in O(|cut|) instead of flooding the fabric.  Hints are only
-        #: read and written on cut-tracked queries, so planning without
-        #: blocker tracking (the tick-loop baseline) is unaffected.
+        #: Keyed by trap pair: MRU-ordered lists of :class:`_CacheEntry`
+        #: records — one per distinct recent occupancy state — validated per
+        #: region footprint / occupancy snapshot.
+        self._route_cache: dict[tuple[TrapId, TrapId], list[_CacheEntry]] = {}
+        #: Last known blocking cut per trap pair, kept across congestion
+        #: changes.  A cut is a topological fact — every source→target path
+        #: crosses one of its channels, because any non-full edge leaving the
+        #: exhausted search region would have been relaxed into it — so
+        #: fullness is its only time-varying part.  When a later query finds
+        #: every channel of the remembered cut still full, the search must
+        #: fail again and is skipped in O(|cut|) instead of flooding the
+        #: fabric.  Hints are only read and written on cut-tracked queries.
         self._cut_hints: dict[tuple[TrapId, TrapId], tuple[ChannelId, ...]] = {}
-        self._cache_epoch = -1
-
-    @property
-    def use_compiled(self) -> bool:
-        """Whether path selection runs on the compiled kernel."""
-        return self.compiled is not None
 
     # ------------------------------------------------------------------
     # Single-qubit route planning
@@ -412,153 +371,24 @@ class Router:
         routable (see
         :meth:`~repro.routing.compiled.CompiledRoutingGraph.shortest_route`).
 
-        Plans (including unroutable outcomes) are cached per trap pair until
-        the congestion epoch advances; a hit for a different qubit rebinds
-        the plan's qubit name, everything else being qubit-independent.
-        Failure cuts are cached alongside.
+        Plans (including unroutable outcomes and their cuts) are served from
+        the route cache while the channel occupancies their search read are
+        unchanged (see :meth:`_entry_valid`); a hit for a different qubit
+        rebinds the plan's qubit name, everything else being
+        qubit-independent.  On a local miss the shared cross-run store is
+        consulted (and fed) under any congestion state — its entries are
+        served on an exact occupancy match of their read snapshot.  A fresh
+        search runs with landmark (ALT) pruning and warm-starts from the
+        stale entry's route: re-costing it under the current weights yields
+        an achievable total, hence a valid upper bound.
 
         Journeys shorter than two hops — staying put, or moving within a
         single channel — bypass the cache entirely: planning them is cheaper
         than the cache bookkeeping, and on small circuits they crowd the
-        cache with entries that are never worth a hit (BENCH_perf.json showed
-        0% hit rates on ``[[5,1,3]]``/``[[7,1,3]]``, where almost every route
-        is trivial).  Only Dijkstra-backed plans enter the cache, so the hit
-        counters now describe exactly the queries the cache exists for.
+        cache with entries that are never worth a hit.
         """
         if source_trap_id == target_trap_id:
             return stationary_plan(qubit, source_trap_id)
-        if self.routing_v2:
-            return self._plan_qubit_route_v2(
-                qubit, source_trap_id, target_trap_id, congestion, cut=cut
-            )
-        if not self.use_route_cache:
-            return self._plan_qubit_route_uncached(
-                qubit, source_trap_id, target_trap_id, congestion, cut=cut
-            )
-        source = self.fabric.trap(source_trap_id)
-        target = self.fabric.trap(target_trap_id)
-        if source.channel_id == target.channel_id:
-            if congestion.is_full(source.channel_id):
-                if cut is not None:
-                    cut.add(source.channel_id)
-                return None
-            return expand_route(
-                self.fabric, self.technology, qubit, source, target, None, ()
-            )
-        if congestion.epoch != self._cache_epoch:
-            self._route_cache.clear()
-            self._failure_cuts.clear()
-            self._cache_epoch = congestion.epoch
-        key = (source_trap_id, target_trap_id)
-        cached = self._route_cache.get(key, _UNCACHED)
-        if cached is not _UNCACHED:
-            self.stats.cache_hits += 1
-            if cached is None and cut is not None:
-                known = self._failure_cuts.get(key)
-                if known is None:
-                    # The failure was cached by a caller that did not ask for
-                    # its cut; recover it once and remember it.
-                    probe: set = set()
-                    self._plan_qubit_route_uncached(
-                        qubit, source_trap_id, target_trap_id, congestion, cut=probe
-                    )
-                    known = tuple(probe)
-                    self._failure_cuts[key] = known
-                cut.update(known)
-            if cached is not None and cached.qubit != qubit:
-                cached = replace(cached, qubit=qubit)
-            return cached
-        shared = self.shared_store
-        idle = shared is not None and congestion.is_idle
-        if idle:
-            with shared.lock:
-                plan = shared.plans.get(key, _UNCACHED)
-            if plan is not _UNCACHED:
-                # A cross-run hit: count it as a cache hit, seed the local
-                # epoch-validated cache and rebind the qubit name.
-                self.stats.cache_hits += 1
-                with shared.lock:
-                    shared.hits += 1
-                self._route_cache[key] = plan
-                if plan is None and cut is not None:
-                    probe = set()
-                    self._plan_qubit_route_uncached(
-                        qubit, source_trap_id, target_trap_id, congestion, cut=probe
-                    )
-                    self._failure_cuts[key] = tuple(probe)
-                    cut.update(probe)
-                if plan is not None and plan.qubit != qubit:
-                    plan = replace(plan, qubit=qubit)
-                return plan
-        self.stats.cache_misses += 1
-        if cut is not None:
-            probe = set()
-            plan = self._plan_qubit_route_uncached(
-                qubit, source_trap_id, target_trap_id, congestion, cut=probe
-            )
-            if plan is None:
-                self._failure_cuts[key] = tuple(probe)
-                cut.update(probe)
-        else:
-            plan = self._plan_qubit_route_uncached(
-                qubit, source_trap_id, target_trap_id, congestion
-            )
-        self._route_cache[key] = plan
-        if idle:
-            with shared.lock:
-                shared.plans[key] = plan
-                shared.stores += 1
-        return plan
-
-    def _entry_valid(self, entry, congestion: CongestionTracker) -> bool:
-        """Whether a v2 cache entry's plan still replays byte-identically.
-
-        Fast path: no footprint region changed since the entry's epoch
-        (O(|regions|) stamp compares).  Slow path: every channel the search
-        read still holds its snapshot occupancy — a state-based check that
-        also validates across balanced reserve/release churn the region
-        stamps cannot see through.  Entries stamped ``epoch == -1`` (born
-        under an overlay) skip the fast path entirely.  Does **not**
-        re-stamp the entry; demand lookups re-stamp on success themselves
-        (unsound during overlay scopes, whose callers therefore use this
-        check alone).
-        """
-        if entry.epoch >= 0 and congestion.regions_unchanged_since(
-            entry.regions, entry.epoch
-        ):
-            return True
-        return self._reads_match(entry.reads, congestion)
-
-    def _snapshot_reads(self, reads: set, congestion: CongestionTracker) -> tuple:
-        """Freeze a search's channel read set into a sorted occupancy tuple."""
-        occupancy = congestion.occupancy
-        return tuple((c, occupancy(c)) for c in sorted(reads))
-
-    def _plan_qubit_route_v2(
-        self,
-        qubit: str,
-        source_trap_id: TrapId,
-        target_trap_id: TrapId,
-        congestion: CongestionTracker,
-        *,
-        cut: set | None = None,
-    ) -> RoutePlan | None:
-        """The v2 cached planner: snapshot-validated entries, warm restarts.
-
-        Differences from the v1 path (byte-identical plans, different
-        bookkeeping):
-
-        * cache entries carry the region footprint *and* the exact channel
-          occupancies their search read, and survive any congestion change
-          that leaves those reads intact (see :meth:`_entry_valid`);
-        * an evicted entry's stale kernel result seeds the re-computation
-          with a ``cost_bound`` warm start (re-costing the old route under
-          the current weights yields an achievable total, hence a valid
-          upper bound), and the search runs with landmark (ALT) pruning;
-        * the shared cross-run store is consulted (and fed) under any
-          congestion state — entries are served on an exact occupancy match
-          of their read snapshot, not only while idle.
-        """
         source = self.fabric.trap(source_trap_id)
         target = self.fabric.trap(target_trap_id)
         if source.channel_id == target.channel_id:
@@ -627,36 +457,23 @@ class Router:
         regions: set[int] = set()
         reads: set = set()
         result_out: list = []
+        probe: set | None = set() if cut is not None else None
+        plan = self._plan_qubit_route_uncached(
+            qubit,
+            source_trap_id,
+            target_trap_id,
+            congestion,
+            cut=probe,
+            regions_out=regions,
+            read_out=reads,
+            warm_start=stale_result,
+            use_landmarks=True,
+            result_out=result_out,
+        )
         failure_cut = None
-        if cut is not None:
-            probe: set = set()
-            plan = self._plan_qubit_route_uncached(
-                qubit,
-                source_trap_id,
-                target_trap_id,
-                congestion,
-                cut=probe,
-                regions_out=regions,
-                read_out=reads,
-                warm_start=stale_result,
-                use_landmarks=True,
-                result_out=result_out,
-            )
-            if plan is None:
-                failure_cut = tuple(probe)
-                cut.update(probe)
-        else:
-            plan = self._plan_qubit_route_uncached(
-                qubit,
-                source_trap_id,
-                target_trap_id,
-                congestion,
-                regions_out=regions,
-                read_out=reads,
-                warm_start=stale_result,
-                use_landmarks=True,
-                result_out=result_out,
-            )
+        if plan is None and probe is not None:
+            failure_cut = tuple(probe)
+            cut.update(probe)
         result = result_out[0] if result_out else None
         snapshot = self._snapshot_reads(reads, congestion)
         entry = _CacheEntry(
@@ -666,6 +483,30 @@ class Router:
         if shared is not None:
             self._store_shared(shared, key, entry)
         return plan
+
+    def _entry_valid(self, entry, congestion: CongestionTracker) -> bool:
+        """Whether a cache entry's plan still replays byte-identically.
+
+        Fast path: no footprint region changed since the entry's epoch
+        (O(|regions|) stamp compares).  Slow path: every channel the search
+        read still holds its snapshot occupancy — a state-based check that
+        also validates across balanced reserve/release churn the region
+        stamps cannot see through.  Entries stamped ``epoch == -1`` (born
+        under an overlay) skip the fast path entirely.  Does **not**
+        re-stamp the entry; demand lookups re-stamp on success themselves
+        (unsound during overlay scopes, whose callers therefore use this
+        check alone).
+        """
+        if entry.epoch >= 0 and congestion.regions_unchanged_since(
+            entry.regions, entry.epoch
+        ):
+            return True
+        return self._reads_match(entry.reads, congestion)
+
+    def _snapshot_reads(self, reads: set, congestion: CongestionTracker) -> tuple:
+        """Freeze a search's channel read set into a sorted occupancy tuple."""
+        occupancy = congestion.occupancy
+        return tuple((c, occupancy(c)) for c in sorted(reads))
 
     def _store_local(self, key: tuple[TrapId, TrapId], entry) -> None:
         """Push ``entry`` onto the pair's MRU snapshot list (bounded)."""
@@ -743,6 +584,13 @@ class Router:
         use_landmarks: bool = False,
         result_out: list | None = None,
     ) -> RoutePlan | None:
+        """One cache-less planning query on the compiled kernel.
+
+        The ``*_out`` collectors receive the search's region footprint,
+        channel read set and raw kernel result (what a cache entry needs to
+        validate and warm-start later); ``warm_start`` bounds the search by
+        a stale route's re-costed total.
+        """
         if source_trap_id == target_trap_id:
             return stationary_plan(qubit, source_trap_id)
         source = self.fabric.trap(source_trap_id)
@@ -802,63 +650,44 @@ class Router:
 
         sources = self._attachment_costs(source, congestion)
         targets = self._attachment_costs(target, congestion)
-        if self.compiled is not None:
-            cost_bound = _INF
-            if warm_start is not None:
-                # Re-cost the stale cached route under the current weights:
-                # if still traversable its total is achievable, hence a
-                # valid upper bound that prunes the search without changing
-                # its answer.
-                cost_bound = self.compiled.recost_route(
-                    warm_start,
-                    sources,
-                    targets,
-                    congestion,
-                    self.technology,
-                    turn_aware_costing=self.policy.turn_aware,
-                )
-            probe: set[ChannelId] | None = set() if cut is not None else None
-            result = self.compiled.shortest_route(
+        cost_bound = _INF
+        if warm_start is not None:
+            # Re-cost the stale cached route under the current weights: if
+            # still traversable its total is achievable, hence a valid upper
+            # bound that prunes the search without changing its answer.
+            cost_bound = self.compiled.recost_route(
+                warm_start,
                 sources,
                 targets,
                 congestion,
                 self.technology,
                 turn_aware_costing=self.policy.turn_aware,
-                stats=self.stats,
-                blocked_channels=probe,
-                regions_out=regions_out,
-                read_out=read_out,
-                cost_bound=cost_bound,
-                use_landmarks=use_landmarks,
             )
-            if result_out is not None:
-                result_out.append(result)
-            if result is None and probe:
-                # Remember this query's own cut (not the caller's running
-                # set) as the pair's fast-failure hint for later epochs.
-                self._cut_hints.pop(key, None)
-                self._cut_hints[key] = tuple(probe)
-                while len(self._cut_hints) > MAX_CUT_HINTS:
-                    self._cut_hints.pop(next(iter(self._cut_hints)))
-            if probe:
-                cut.update(probe)
-        else:
-            self.stats.dijkstra_calls += 1
-            result = shortest_route(
-                self.graph,
-                sources,
-                targets,
-                lambda edge: edge_weight(
-                    edge,
-                    congestion,
-                    self.technology,
-                    turn_aware_costing=self.policy.turn_aware,
-                ),
-            )
-            if result is None and cut is not None:
-                # The legacy object-graph kernel does not report its frontier;
-                # fall back to the coarse (but still sound) full-channel set.
-                cut.update(congestion.full_channels())
+        probe: set[ChannelId] | None = set() if cut is not None else None
+        result = self.compiled.shortest_route(
+            sources,
+            targets,
+            congestion,
+            self.technology,
+            turn_aware_costing=self.policy.turn_aware,
+            stats=self.stats,
+            blocked_channels=probe,
+            regions_out=regions_out,
+            read_out=read_out,
+            cost_bound=cost_bound,
+            use_landmarks=use_landmarks,
+        )
+        if result_out is not None:
+            result_out.append(result)
+        if result is None and probe:
+            # Remember this query's own cut (not the caller's running set)
+            # as the pair's fast-failure hint for later congestion states.
+            self._cut_hints.pop(key, None)
+            self._cut_hints[key] = tuple(probe)
+            while len(self._cut_hints) > MAX_CUT_HINTS:
+                self._cut_hints.pop(next(iter(self._cut_hints)))
+        if probe:
+            cut.update(probe)
         if result is None:
             return None
         entry_junction = result.entry_node[0]
@@ -986,7 +815,7 @@ class Router:
                     seen.add(trap_id)
 
         for index, candidate in enumerate(candidates):
-            if index == 1 and self.routing_v2 and len(candidates) > 2:
+            if index == 1 and len(candidates) > 2:
                 # The first candidate failed, so the loop is committed to
                 # probing the rest: batch-prefetch their missing legs in one
                 # shared-frontier pass instead of flooding once per probe.
@@ -1038,7 +867,7 @@ class Router:
         congestion state.  Instead of flooding the fabric once per query,
         this answers every leg not already served by a cache in a single
         :meth:`~repro.routing.compiled.CompiledRoutingGraph.shortest_routes_batch`
-        pass and seeds the v2 route cache, so the loop's lookups all hit.
+        pass and seeds the route cache, so the loop's lookups all hit.
 
         Prefetches are not charged as cache misses (they are not demand
         lookups); the batch pass itself counts one ``dijkstra_call``.
@@ -1055,11 +884,6 @@ class Router:
             and technology.turn_delay > 0
             and technology.move_delay > 0
         ):
-            return
-        # Differential-test shims replace the compiled kernel with a wrapper
-        # that only speaks the single-query API; they simply skip prefetch.
-        batch_search = getattr(self.compiled, "shortest_routes_batch", None)
-        if batch_search is None:
             return
         serial = self.policy.channel_capacity < 2
         legs = [(source_name, source_trap)]
@@ -1105,7 +929,7 @@ class Router:
             ]
             regions: set[int] = set()
             reads: set = set()
-            results = batch_search(
+            results = self.compiled.shortest_routes_batch(
                 sources,
                 groups,
                 congestion,
@@ -1151,7 +975,7 @@ class Router:
         target_trap_id: TrapId,
         congestion: CongestionTracker,
     ) -> RoutePlan | None:
-        """Destination-leg planning under a source overlay (v2 only).
+        """Destination-leg planning under a source overlay.
 
         The overlay congestion state is transient by construction, so the
         query must neither store cache entries nor re-stamp existing ones
@@ -1291,8 +1115,9 @@ class Router:
         # extra congestion and the pair never exceeds channel capacity.  The
         # reserve/release pair is balanced, so the pre-scope epoch is
         # restored afterwards and the route cache stays valid across the
-        # scope; the destination query itself bypasses the cache (its
-        # overlay congestion state is transient by construction).
+        # scope; the destination query neither stores nor re-stamps regular
+        # cache entries (its overlay congestion state is transient by
+        # construction, see :meth:`_overlay_route`).
         reserved: list[ChannelId] = []
         state_before = congestion.capture_state()
         try:
@@ -1303,21 +1128,16 @@ class Router:
                     return None
                 congestion.reserve(channel_id)
                 reserved.append(channel_id)
-            if self.routing_v2:
-                dest_plan = self._overlay_route(
-                    dest_name, dest_trap, candidate.id, congestion
-                )
-            else:
-                dest_plan = self._plan_qubit_route_uncached(
-                    dest_name, dest_trap, candidate.id, congestion
-                )
+            dest_plan = self._overlay_route(
+                dest_name, dest_trap, candidate.id, congestion
+            )
         finally:
             for channel_id in reversed(reserved):
                 congestion.release(channel_id)
             # Restore the global epoch *and* the region stamps: the balanced
             # reserve/release pair is invisible to every epoch- and
-            # region-tagged consumer, so the route cache (v1 and v2) stays
-            # valid across the scope.
+            # region-tagged consumer, so the route cache stays valid across
+            # the scope.
             congestion.restore_state(state_before)
         if dest_plan is None:
             # The destination leg failed *under the source overlay*: a
@@ -1325,8 +1145,7 @@ class Router:
             # occupancy change anywhere can change that choice.  The failure
             # is therefore not a stable full-channel cut — record the
             # catch-all key so the busy queue retries on every congestion
-            # change (issues and releases), exactly as the tick loop's
-            # wake-everything events would.
+            # change (issues and releases).
             if blockers is not None:
                 blockers.add(ANY_CONGESTION_CHANGE)
             return None

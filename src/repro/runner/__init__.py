@@ -39,8 +39,7 @@ from repro.runner.bench import (
     BENCH_SCHEMA,
     BenchCase,
     format_perf_report,
-    measure_event_core_speedup,
-    measure_speedup,
+    measure_routing_v2_speedup,
     run_perf_suite,
 )
 from repro.runner.cache import CacheInfo, ResultCache
@@ -83,8 +82,7 @@ __all__ = [
     "format_perf_report",
     "latency_table",
     "map_spec",
-    "measure_event_core_speedup",
-    "measure_speedup",
+    "measure_routing_v2_speedup",
     "parse_axis",
     "parse_bool_axis",
     "parse_capacity_axis",

@@ -160,13 +160,16 @@ class TestFabricQueries:
 class TestSpatialMemo:
     def test_cached_ordering_matches_uncached(self, small_fabric_4x4):
         point = small_fabric_4x4.center
-        cached = small_fabric_4x4.traps_by_distance(point)
-        small_fabric_4x4.spatial_cache_enabled = False
-        try:
-            uncached = small_fabric_4x4.traps_by_distance(point)
-        finally:
-            small_fabric_4x4.spatial_cache_enabled = True
-        assert cached == uncached
+        expected = sorted(
+            small_fabric_4x4.traps.values(),
+            key=lambda trap: (
+                abs(trap.cell[0] - point[0]) + abs(trap.cell[1] - point[1]),
+                trap.id,
+            ),
+        )
+        assert small_fabric_4x4.traps_by_distance(point) == expected
+        # A second call is answered from the memo and must not differ.
+        assert small_fabric_4x4.traps_by_distance(point) == expected
 
     def test_callers_get_independent_lists(self, small_fabric_4x4):
         point = (0.0, 0.0)

@@ -8,13 +8,13 @@ CPU time) normalised; everything else — latency, placements, schedule-derived
 moves/turns, congestion delay and the routing-core counters — must match
 exactly.
 
-A second gate proves the compiled core and the pre-refactor legacy core
-produce identical mapping results: their summaries must agree line for line
-once the core-implementation counters (cache traffic, heap pops), which
-legitimately differ between cores, are stripped.  A third gate does the same
-for the event-driven simulation core against the tick-poll issue loop
-(``event_core=False, busy_wake_sets=False``): the loop counters differ (the
-whole point is fewer polls), the mapping must not.
+A second gate proves production maps every case exactly as the test oracle
+(:mod:`oracle`: cache-less planning, an issue poll at every event timestamp)
+does: their summaries must agree line for line once the work counters
+(cache traffic, heap pops, issue polls), which legitimately differ, are
+stripped.  A third gate replays every case the way a service worker does —
+twice on one fabric with the cross-run shared route store on, the rerun
+served from the store — and holds both runs to the same snapshot.
 
 Regenerate the snapshots after an *intentional* output change with::
 
@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from oracle import OracleSimulator
 from repro import MapperOptions, QsprMapper, small_fabric
 from repro.circuits.qecc import qecc_encoder
 
@@ -46,29 +47,15 @@ CASES: tuple[tuple[str, str, dict], ...] = (
 )
 
 _CPU_LINE = re.compile(r"^(  mapping CPU time  : ).*$", re.MULTILINE)
-#: Core-implementation counters; legitimately differ between the compiled
-#: and the legacy core (the legacy kernel counts no pops/relaxations and the
-#: legacy configuration runs without the route cache) and between the event
-#: core and the tick loop (fewer polls, fewer futile route queries).
+#: Work counters; legitimately differ between production and the oracle
+#: (no route cache, more pops, an issue poll at every event timestamp).
 _CORE_LINES = re.compile(
     r"^  (route cache|dijkstra core|event loop)\s*: .*\n", re.MULTILINE
 )
 
 
-def _summarise(
-    circuit_name: str,
-    mapper_kwargs: dict,
-    *,
-    compiled: bool = True,
-    event_core: bool = True,
-    busy_wake_sets: bool = True,
-) -> str:
-    options = MapperOptions(
-        compiled_routing=compiled,
-        event_core=event_core,
-        busy_wake_sets=busy_wake_sets,
-        **mapper_kwargs,
-    )
+def _summarise(circuit_name: str, mapper_kwargs: dict) -> str:
+    options = MapperOptions(**mapper_kwargs)
     fabric = small_fabric(junction_rows=6, junction_cols=6)
     result = QsprMapper(options).map(qecc_encoder(circuit_name), fabric)
     return result.summary()
@@ -79,20 +66,13 @@ def _normalise(summary: str) -> str:
 
 
 def _strip_core_counters(summary: str) -> str:
-    text = _CORE_LINES.sub("", summary)
-    # The options line spells out the selected cores; equal results are the
-    # point, so the core choices are normalised away as well.
-    return (
-        text.replace(" core=legacy", "")
-        .replace(" sim=tick", "")
-        .replace(" wake_sets=False", "")
-    )
+    return _CORE_LINES.sub("", summary)
 
 
 @pytest.mark.parametrize("name, circuit, kwargs", CASES, ids=[c[0] for c in CASES])
 def test_summary_matches_golden_snapshot(name, circuit, kwargs):
     golden_path = GOLDEN_DIR / f"{name}.txt"
-    summary = _normalise(_summarise(circuit, kwargs, compiled=True))
+    summary = _normalise(_summarise(circuit, kwargs))
     if os.environ.get("REPRO_UPDATE_GOLDEN") == "1":
         GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
         golden_path.write_text(summary)
@@ -104,16 +84,22 @@ def test_summary_matches_golden_snapshot(name, circuit, kwargs):
 
 
 @pytest.mark.parametrize("name, circuit, kwargs", CASES, ids=[c[0] for c in CASES])
-def test_compiled_and_legacy_cores_agree(name, circuit, kwargs):
-    compiled = _strip_core_counters(_normalise(_summarise(circuit, kwargs, compiled=True)))
-    legacy = _strip_core_counters(_normalise(_summarise(circuit, kwargs, compiled=False)))
-    assert compiled == legacy
+def test_production_and_oracle_agree(name, circuit, kwargs, monkeypatch):
+    production = _strip_core_counters(_normalise(_summarise(circuit, kwargs)))
+    monkeypatch.setattr("repro.pipeline.context.FabricSimulator", OracleSimulator)
+    oracle = _strip_core_counters(_normalise(_summarise(circuit, kwargs)))
+    assert production == oracle
 
 
 @pytest.mark.parametrize("name, circuit, kwargs", CASES, ids=[c[0] for c in CASES])
-def test_event_core_and_tick_loop_agree(name, circuit, kwargs):
-    event = _strip_core_counters(_normalise(_summarise(circuit, kwargs)))
-    tick = _strip_core_counters(
-        _normalise(_summarise(circuit, kwargs, event_core=False, busy_wake_sets=False))
-    )
-    assert event == tick
+def test_shared_store_reruns_reproduce_the_golden_mapping(name, circuit, kwargs):
+    golden = _strip_core_counters((GOLDEN_DIR / f"{name}.txt").read_text())
+    fabric = small_fabric(junction_rows=6, junction_cols=6)
+    mapper = QsprMapper(MapperOptions(shared_route_cache=True, **kwargs))
+    first = mapper.map(qecc_encoder(circuit), fabric)
+    rerun = mapper.map(qecc_encoder(circuit), fabric)
+    assert rerun.routing_stats.shared_hits > 0
+    for result in (first, rerun):
+        summary = _strip_core_counters(_normalise(result.summary()))
+        # The options line names the store; everything else must match.
+        assert summary.replace(" shared_routes=True", "") == golden

@@ -3,15 +3,15 @@
 The compiled core must be a pure speedup — every query, under every
 congestion state the simulator can produce, must return the same cost and
 the same edge sequence as the object-based reference implementation in
-:mod:`repro.routing.dijkstra`.  The legacy path stays available behind the
-``use_compiled=False`` flag exactly for these tests.
+:mod:`repro.routing.dijkstra`, which is kept exactly for these tests.
 
 Two layers of coverage:
 
 * direct kernel queries over enumerated trap pairs and hand-made congestion
   states (including fully blocked channels and unroutable pairs);
 * full simulations of the fixture circuits on the fixture fabrics with a
-  shim that routes every live query through *both* kernels and compares.
+  shim that routes every live query — single and batched — through *both*
+  kernels and compares.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import pytest
 
 from repro.circuits.qecc import qecc_encoder
-from repro.fabric.builder import FabricSpec, build_fabric, linear_fabric
+from repro.fabric.builder import FabricSpec, build_fabric, linear_fabric, small_fabric
 from repro.placement.center import CenterPlacer
 from repro.routing.compiled import CompiledRoutingGraph
 from repro.routing.congestion import CongestionTracker
@@ -130,6 +130,7 @@ class _DifferentialShim:
         self.router = router
         self.compiled = router.compiled
         self.queries = 0
+        self.batches = 0
 
     def shortest_route(self, sources, targets, congestion, technology, **kwargs):
         compiled_result = self.compiled.shortest_route(
@@ -139,6 +140,23 @@ class _DifferentialShim:
         self.queries += 1
         _assert_same_result(legacy_result, compiled_result, f"query {self.queries}")
         return compiled_result
+
+    def shortest_routes_batch(
+        self, sources, target_groups, congestion, technology, **kwargs
+    ):
+        results = self.compiled.shortest_routes_batch(
+            sources, target_groups, congestion, technology, **kwargs
+        )
+        self.batches += 1
+        assert len(results) == len(target_groups)
+        for group, compiled_result in zip(target_groups, results):
+            legacy_result = _legacy_query(
+                self.router, dict(sources), dict(group), congestion
+            )
+            _assert_same_result(
+                legacy_result, compiled_result, f"batch {self.batches}"
+            )
+        return results
 
     def recost_route(self, *args, **kwargs):
         # Warm-start bound probes are pure reads; forward them unchecked (the
@@ -165,34 +183,13 @@ def test_kernels_agree_during_full_simulations(circuit_name, fabric_fixture, req
     assert outcome.latency > 0
 
 
-def test_simulations_identical_across_cores(small_fabric_4x4, calibrated_513):
-    """Latency, schedule, placements and records match core-for-core."""
-    placement = CenterPlacer(small_fabric_4x4).place(calibrated_513)
-    outcomes = {}
-    for compiled in (False, True):
-        sim = FabricSimulator(
-            calibrated_513, small_fabric_4x4, compiled_routing=compiled
-        )
-        outcomes[compiled] = sim.run(placement)
-    legacy, fast = outcomes[False], outcomes[True]
-    assert fast.latency == legacy.latency
-    assert fast.schedule == legacy.schedule
-    assert fast.initial_placement.as_dict() == legacy.initial_placement.as_dict()
-    assert fast.final_placement.as_dict() == legacy.final_placement.as_dict()
-    for index, record in legacy.records.items():
-        twin = fast.records[index]
-        assert (
-            twin.issue_time,
-            twin.gate_start,
-            twin.finish_time,
-            twin.target_trap,
-            twin.moves,
-            twin.turns,
-        ) == (
-            record.issue_time,
-            record.gate_start,
-            record.finish_time,
-            record.target_trap,
-            record.moves,
-            record.turns,
-        )
+def test_batched_prefills_agree_during_full_simulations():
+    """The batched kernel is cross-checked on a run that actually batches."""
+    fabric = small_fabric(junction_rows=6, junction_cols=6)
+    circuit = qecc_encoder("[[9,1,3]]")
+    placement = CenterPlacer(fabric).place(circuit)
+    sim = FabricSimulator(circuit, fabric)
+    shim = _DifferentialShim(sim.router)
+    sim.router.compiled = shim
+    sim.run(placement)
+    assert shim.batches > 0, "the simulation never ran a batched prefill"

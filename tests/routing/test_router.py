@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracle import OracleRouter
 from repro.circuits.circuit import QuantumCircuit
 from repro.routing.congestion import CongestionTracker
 from repro.routing.router import MeetingPoint, Router, RoutingPolicy
@@ -233,24 +234,33 @@ class TestRouteCache:
         assert len(router._cut_hints) <= MAX_CUT_HINTS
         assert oldest not in router._cut_hints, "the cap must evict oldest-first"
 
-    def test_cache_disabled_router_never_counts_cache_traffic(self, small_fabric_4x4, congestion):
-        router = Router(
-            small_fabric_4x4,
-            PAPER_TECHNOLOGY,
-            RoutingPolicy(),
-            use_compiled=False,
-            use_route_cache=False,
-        )
+    def test_oracle_router_never_counts_cache_traffic(self, small_fabric_4x4, congestion):
+        # The differential suites hold production to this router; it must
+        # really search every query from scratch.
+        oracle = OracleRouter(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
         source, target = self._distant_pair(small_fabric_4x4)
-        router.plan_qubit_route("q", source, target, congestion)
-        router.plan_qubit_route("q", source, target, congestion)
-        assert router.stats.cache_hits == 0
-        assert router.stats.cache_misses == 0
-        assert router.stats.dijkstra_calls == 2
+        first = oracle.plan_qubit_route("q", source, target, congestion)
+        second = oracle.plan_qubit_route("q", source, target, congestion)
+        assert second == first
+        assert oracle.stats.cache_hits == 0
+        assert oracle.stats.cache_misses == 0
+        assert oracle.stats.dijkstra_calls == 2
 
-    def test_compiled_flag_controls_kernel_choice(self, small_fabric_4x4):
-        assert Router(small_fabric_4x4).use_compiled
-        assert not Router(small_fabric_4x4, use_compiled=False).use_compiled
+    def test_cached_plans_match_the_oracle_for_every_pair(self, router, small_fabric_4x4):
+        oracle = OracleRouter(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
+        congestion = CongestionTracker(small_fabric_4x4, 1)
+        # Saturate every third channel so some pairs detour and some fail.
+        for channel_id in sorted(small_fabric_4x4.channels)[::3]:
+            congestion.reserve(channel_id)
+        traps = sorted(small_fabric_4x4.traps)
+        pairs = [(s, t) for s in traps[::2] for t in traps[1::2]]
+        for source, target in pairs:
+            fresh = oracle.plan_qubit_route("q", source, target, congestion)
+            assert router.plan_qubit_route("q", source, target, congestion) == fresh
+            # The repeat query is served from the cache and must not drift.
+            assert router.plan_qubit_route("q", source, target, congestion) == fresh
+        # Same-channel pairs bypass the cache; every other repeat is a hit.
+        assert router.stats.cache_hits == router.stats.cache_misses > 0
 
     def test_shared_graphs_reused_across_routers(self, small_fabric_4x4):
         first = Router(small_fabric_4x4)

@@ -1,21 +1,27 @@
 """Busy-queue wake-sets: unit behaviour and engine-level equivalence.
 
 The wake-set retry policy must never change *what* the simulator computes —
-latencies, schedules, placements, movement and congestion are byte-equal with
-the feature on or off; only the number of futile router calls (and therefore
-the routing-core counters) drops.
+latencies, schedules, placements, movement and congestion are byte-equal to
+the oracle simulator, which polls every parked instruction at every event
+timestamp; only the number of futile router calls (and therefore the
+routing-core counters) drops.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from oracle import OracleSimulator
 from repro.circuits.qecc import qecc_encoder
 from repro.errors import SchedulingError
 from repro.fabric.builder import small_fabric
 from repro.scheduling.busy_queue import BusyQueue
 from repro.sim.engine import FabricSimulator
 from repro.placement.center import CenterPlacer
+from repro.technology import PAPER_TECHNOLOGY
+
+#: Capacity-1 channels: the heaviest parking, where wake sets gate the most.
+CAP_1 = PAPER_TECHNOLOGY.with_channel_capacity(1)
 
 
 class TestBusyQueueWakeSets:
@@ -50,14 +56,6 @@ class TestBusyQueueWakeSets:
         assert queue.wake(42) == []
         assert not queue.needs_retry(1)
 
-    def test_wake_all_invalidates_everything(self):
-        queue = BusyQueue()
-        for index in (1, 2):
-            queue.park(index, 0.0)
-            queue.block_on(index, [index])
-        queue.wake_all()
-        assert queue.needs_retry(1) and queue.needs_retry(2)
-
     def test_reblocking_replaces_the_wake_set(self):
         queue = BusyQueue()
         queue.park(1, 0.0)
@@ -74,23 +72,15 @@ class TestBusyQueueWakeSets:
         queue.remove(1)
         assert queue.wake(7) == []
 
-    def test_empty_block_set_waits_for_wake_all(self):
-        queue = BusyQueue()
-        queue.park(1, 0.0)
-        queue.block_on(1, [])  # blocked by trap occupancy, not channels
-        assert not queue.needs_retry(1)
-        queue.wake_all()
-        assert queue.needs_retry(1)
+
+SCHEDULERS = ("qspr", "quale-alap", "qpos-dependents", "qpos-path-delay")
 
 
-def _run(circuit_name: str, *, event_core: bool, busy_wake_sets: bool):
+def _run(circuit_name: str, simulator=FabricSimulator, technology=PAPER_TECHNOLOGY, **kwargs):
     circuit = qecc_encoder(circuit_name)
     fabric = small_fabric(junction_rows=6, junction_cols=6)
-    sim = FabricSimulator(
-        circuit, fabric, event_core=event_core, busy_wake_sets=busy_wake_sets
-    )
     placement = CenterPlacer(fabric).place(circuit)
-    return sim.run(placement)
+    return simulator(circuit, fabric, technology, **kwargs).run(placement)
 
 
 def _assert_same_outcome(eager, lazy):
@@ -111,36 +101,48 @@ def _assert_same_outcome(eager, lazy):
 class TestEngineEquivalence:
     @pytest.mark.parametrize("circuit", ["[[9,1,3]]", "[[23,1,7]]"])
     def test_results_identical_with_fewer_issue_polls(self, circuit):
-        eager = _run(circuit, event_core=False, busy_wake_sets=False)
-        lazy = _run(circuit, event_core=True, busy_wake_sets=True)
+        eager = _run(circuit, OracleSimulator)
+        lazy = _run(circuit)
 
         _assert_same_outcome(eager, lazy)
 
-        # The congested runs park instructions; the event core must skip at
+        # The congested runs park instructions; the gated loop must skip at
         # least some wake-less timestamps there (that is its whole point).
         assert eager.busy_queue_entries > 0
         assert lazy.event_stats.skipped_polls > 0
         assert lazy.event_stats.issue_polls < eager.event_stats.issue_polls
-        # The tick loop never gates, so it never skips a poll.
+        # The oracle never gates, so it never skips a poll.
         assert eager.event_stats.skipped_polls == 0
 
-    @pytest.mark.parametrize("event_core", [False, True])
-    @pytest.mark.parametrize("busy_wake_sets", [False, True])
-    def test_all_core_flag_combinations_agree(self, event_core, busy_wake_sets):
-        baseline = _run("[[9,1,3]]", event_core=False, busy_wake_sets=False)
-        other = _run(
-            "[[9,1,3]]", event_core=event_core, busy_wake_sets=busy_wake_sets
-        )
-        _assert_same_outcome(baseline, other)
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_every_scheduler_matches_the_oracle_at_capacity_one(self, scheduler):
+        # Each policy orders the parked pool differently, so each exercises
+        # a different sequence of blocked retries and wakes.
+        eager = _run("[[9,1,3]]", OracleSimulator, CAP_1, scheduler=scheduler)
+        lazy = _run("[[9,1,3]]", technology=CAP_1, scheduler=scheduler)
+        _assert_same_outcome(eager, lazy)
+        assert eager.busy_queue_entries > 0
+        assert lazy.event_stats.skipped_polls > 0
+        assert lazy.event_stats.issue_polls < eager.event_stats.issue_polls
+        assert eager.event_stats.skipped_polls == 0
+
+    def test_barrier_level_selector_matches_the_oracle(self):
+        # The barrier-level selector retries its level unconditionally, so
+        # it never gates on wake sets: it must poll exactly as the oracle.
+        eager = _run("[[23,1,7]]", OracleSimulator, CAP_1, barrier_scheduling=True)
+        lazy = _run("[[23,1,7]]", technology=CAP_1, barrier_scheduling=True)
+        _assert_same_outcome(eager, lazy)
+        assert eager.busy_queue_entries > 0
+        assert lazy.event_stats.skipped_polls == 0
+        assert lazy.event_stats.issue_polls == eager.event_stats.issue_polls
 
     def test_wake_sets_disabled_for_forced_order(self):
         circuit = qecc_encoder("[[5,1,3]]")
         fabric = small_fabric(junction_rows=6, junction_cols=6)
-        baseline = FabricSimulator(circuit, fabric, busy_wake_sets=False)
         placement = CenterPlacer(fabric).place(circuit)
-        order = baseline.run(placement).schedule
-        forced = FabricSimulator(
-            circuit, fabric, forced_order=order, busy_wake_sets=True
-        )
+        order = FabricSimulator(circuit, fabric).run(placement).schedule
+        forced = FabricSimulator(circuit, fabric, forced_order=order)
         outcome = forced.run(placement)
         assert outcome.schedule == order
+        # Forced-order runs retry unconditionally: no poll is ever skipped.
+        assert outcome.event_stats.skipped_polls == 0
