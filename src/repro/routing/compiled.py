@@ -61,18 +61,11 @@ The kernel keeps plain Dijkstra's pop order and tie-breaking and uses
 strictly worse than an already-known route, and the completion update uses
 a strict ``<``, so dropping them provably changes heap traffic, never the
 returned route.  ``cost_bound`` feeds the same test with an externally
-known achievable cost (the router re-costs a region-invalidated cached
-plan under the current congestion), so pruning starts before the first
+known achievable cost (the router re-costs a stale cached plan under the
+current congestion), so pruning starts before the first
 in-search completion is found.  Landmarks require a weight-symmetric graph
 (checked structurally at build time); asymmetric graphs silently fall back
 to plain Dijkstra.
-
-**Region footprints.**  When ``regions_out`` is given, the kernel
-records the spatial regions (see :mod:`repro.routing.regions`) of every
-channel edge leaving a settled node.  Those are exactly the weights the
-search *read*, so a cached result stays byte-identical for as long as no
-channel in those regions (plus the caller's own attachment channels)
-changes — the validity predicate of the router's region-scoped route cache.
 
 **Batched multi-target search.**  :meth:`shortest_routes_batch`
 answers one source set against several target groups (the candidate
@@ -94,7 +87,6 @@ from typing import Mapping, Sequence
 from repro.routing.congestion import CongestionTracker
 from repro.routing.dijkstra import DijkstraResult
 from repro.routing.graph_model import EdgeKind, Node, RoutingGraph
-from repro.routing.regions import RegionGrid
 from repro.technology import TechnologyParams
 
 _INF = math.inf
@@ -298,25 +290,15 @@ class CompiledRoutingGraph:
         self._visited_gen = [0] * num_nodes
         self._generation = 0
 
-        # Per-node spatial-region bitmask — the regions of every channel
-        # edge *leaving* the node, i.e. the weights a search reads when it
-        # settles the node.  OR-ing the masks of the settled set yields the
-        # query's region footprint for the router's region-scoped cache.
-        self.region_grid = RegionGrid.shared(graph.fabric)
-        node_region_mask = [0] * num_nodes
         node_channels: list[set] = [set() for _ in range(num_nodes)]
         for e in range(len(edges)):
             if not edge_is_turn[e]:
-                bit = 1 << self.region_grid.region_of(edges[e].channel_id)
-                node_region_mask[edge_source[e]] |= bit
                 node_channels[edge_source[e]].add(edges[e].channel_id)
-        self._node_region_mask = node_region_mask
         #: Channel ids whose occupancy a search *reads* when it settles a
         #: node: the channels of the node's outgoing non-turn edges (turn
         #: edges are congestion-independent).  The router snapshots their
         #: occupancies to validate cached plans exactly.
         self._node_channel_ids: list[tuple] = [tuple(s) for s in node_channels]
-        self._mask_regions_memo: dict[int, tuple[int, ...]] = {}
         #: GraphEdge identity -> edge index, for re-costing cached routes.
         self._edge_lookup = {id(edge): e for e, edge in enumerate(edges)}
         #: ``(move_delay, turn_cost) -> _LandmarkTable | None`` (``None`` when
@@ -417,18 +399,8 @@ class CompiledRoutingGraph:
         self._weight_tracker_id = id(congestion)
 
     # ------------------------------------------------------------------
-    # Landmarks (ALT) and region footprints
+    # Landmarks (ALT)
     # ------------------------------------------------------------------
-    def _mask_to_regions(self, mask: int) -> tuple[int, ...]:
-        """Region indices of a footprint bitmask (memoised; few masks recur)."""
-        regions = self._mask_regions_memo.get(mask)
-        if regions is None:
-            regions = tuple(
-                r for r in range(self.region_grid.num_regions) if mask & (1 << r)
-            )
-            self._mask_regions_memo[mask] = regions
-        return regions
-
     def _base_weights_symmetric(self) -> bool:
         """Whether every edge has a reverse twin of the same kind and length.
 
@@ -579,7 +551,6 @@ class CompiledRoutingGraph:
         turn_aware_costing: bool = True,
         stats: RoutingCoreStats | None = None,
         blocked_channels: set | None = None,
-        regions_out: set | None = None,
         read_out: set | None = None,
         cost_bound: float = _INF,
         use_landmarks: bool = False,
@@ -605,9 +576,6 @@ class CompiledRoutingGraph:
                 one of those channels frees a slot: every other full channel
                 lies beyond the cut (unreachable either way), and releases of
                 non-full channels only change costs, never connectivity.
-            regions_out: Optional output set receiving the spatial-region
-                footprint the search read (regions of channel edges out of
-                settled nodes); see the module docstring.
             read_out: Optional output set receiving the ids of every channel
                 whose occupancy the search *read* — the channels of non-turn
                 edges out of settled nodes.  Together with the caller's
@@ -690,9 +658,6 @@ class CompiledRoutingGraph:
         track_cut = blocked_channels is not None
         track_read = read_out is not None
         track_settled = track_cut or track_read
-        track_regions = regions_out is not None
-        node_region_mask = self._node_region_mask
-        footprint = 0
         settled: list[int] = []
 
         while heap:
@@ -705,8 +670,6 @@ class CompiledRoutingGraph:
             visited_gen[node] = generation
             if track_settled:
                 settled.append(node)
-            if track_regions:
-                footprint |= node_region_mask[node]
             completion = target_cost.get(node)
             if completion is not None and cost + completion < best_total:
                 best_total = cost + completion
@@ -757,8 +720,6 @@ class CompiledRoutingGraph:
                     counter += 1
                     relaxations += 1
 
-        if track_regions and footprint:
-            regions_out.update(self._mask_to_regions(footprint))
         if track_read:
             node_channel_ids = self._node_channel_ids
             for i in settled:
@@ -808,7 +769,6 @@ class CompiledRoutingGraph:
         *,
         turn_aware_costing: bool = True,
         stats: RoutingCoreStats | None = None,
-        regions_out: set | None = None,
         read_out: set | None = None,
         use_landmarks: bool = False,
     ) -> list[DijkstraResult | None]:
@@ -901,10 +861,7 @@ class CompiledRoutingGraph:
         relaxations = 0
         pop = heapq.heappop
         push = heapq.heappush
-        track_regions = regions_out is not None
         track_read = read_out is not None
-        node_region_mask = self._node_region_mask
-        footprint = 0
         settled: list[int] = []
 
         while heap and open_groups:
@@ -917,8 +874,6 @@ class CompiledRoutingGraph:
             visited_gen[node] = generation
             if track_read:
                 settled.append(node)
-            if track_regions:
-                footprint |= node_region_mask[node]
             hits = group_targets.get(node)
             recompute_bound = False
             if hits is not None:
@@ -959,8 +914,6 @@ class CompiledRoutingGraph:
                     counter += 1
                     relaxations += 1
 
-        if track_regions and footprint:
-            regions_out.update(self._mask_to_regions(footprint))
         if track_read:
             node_channel_ids = self._node_channel_ids
             for i in settled:

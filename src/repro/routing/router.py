@@ -177,51 +177,36 @@ MAX_SHARED_SNAPSHOTS_PER_PAIR = 8
 
 
 class _CacheEntry:
-    """One route-cache record: a plan plus its validity evidence.
+    """One route-cache record: a plan plus its occupancy snapshot.
 
-    Two validity checks layer, fast to slow:
-
-    * **Region stamps** — ``epoch`` is the congestion epoch the plan was
-      computed (or last validated) under and ``regions`` the spatial-region
-      footprint its search touched; while no footprint region carries a
-      stamp newer than ``epoch`` nothing the search read can have changed.
-      O(|regions|) integer compares, but history-based: it cannot see that
-      a reserve/release cycle restored the original state.
-    * **Occupancy snapshot** — ``reads`` holds sorted ``(channel id,
-      occupancy)`` pairs over every channel the search read.  The search is
-      a pure function of those occupancies, so the entry is valid whenever
-      they all match the current state, *regardless* of what happened in
-      between.  This is what keeps the cache hot across the balanced
-      congestion churn of a busy fabric.
+    ``reads`` holds sorted ``(channel id, occupancy)`` pairs over every
+    channel the search read.  The search is a pure function of those
+    occupancies, so the entry is valid whenever they all match the current
+    state, *regardless* of what happened in between (see
+    :meth:`Router._reads_match`).  This is what keeps the cache hot across
+    the balanced congestion churn of a busy fabric.
 
     ``result`` keeps the kernel's raw search result so a later
     re-computation of an invalidated entry can warm-start from the stale
     route's re-costed total.  ``cut`` carries a failed search's blocking
     cut (when it was tracked): the cut is a function of the occupancies the
-    search read, so it is exactly as valid as the entry itself.  Entries
-    created under a transient overlay state carry ``epoch == -1``, which
-    disables the region fast path until a demand hit at a real congestion
-    state re-stamps them.
+    search read, so it is exactly as valid as the entry itself.
 
     The route cache keeps a short MRU list of these per trap pair (one per
     distinct recent occupancy state), because fabric congestion oscillates:
     a state the fabric returns to should hit again.
     """
 
-    __slots__ = ("plan", "epoch", "regions", "reads", "result", "cut")
+    __slots__ = ("plan", "reads", "result", "cut")
 
     def __init__(
         self,
         plan: RoutePlan | None,
-        epoch: int,
-        regions: frozenset[int],
-        reads: tuple = (),
+        reads: tuple,
         result=None,
         cut: tuple | None = None,
     ) -> None:
         self.plan = plan
-        self.epoch = epoch
-        self.regions = regions
         self.reads = reads
         self.result = result
         self.cut = cut
@@ -317,8 +302,8 @@ class Router:
         self.compiled = CompiledRoutingGraph.shared(self.graph)
         self.stats = RoutingCoreStats()
         #: Keyed by trap pair: MRU-ordered lists of :class:`_CacheEntry`
-        #: records — one per distinct recent occupancy state — validated per
-        #: region footprint / occupancy snapshot.
+        #: records — one per distinct recent occupancy state — validated by
+        #: occupancy snapshot.
         self._route_cache: dict[tuple[TrapId, TrapId], list[_CacheEntry]] = {}
         #: Last known blocking cut per trap pair, kept across congestion
         #: changes.  A cut is a topological fact — every source→target path
@@ -373,7 +358,7 @@ class Router:
 
         Plans (including unroutable outcomes and their cuts) are served from
         the route cache while the channel occupancies their search read are
-        unchanged (see :meth:`_entry_valid`); a hit for a different qubit
+        unchanged (see :meth:`_reads_match`); a hit for a different qubit
         rebinds the plan's qubit name, everything else being
         qubit-independent.  On a local miss the shared cross-run store is
         consulted (and fed) under any congestion state — its entries are
@@ -404,16 +389,8 @@ class Router:
         stale_result = None
         if entries:
             for i, entry in enumerate(entries):
-                if not self._entry_valid(entry, congestion):
+                if not self._reads_match(entry.reads, congestion):
                     continue
-                # Re-stamp with the current epoch: "unchanged since" holds
-                # against *now* (either no footprint region changed, or the
-                # occupancies the search read are back to their snapshot
-                # values), so future region checks compare against a recent
-                # epoch instead of aging out.  Demand lookups only run at
-                # real (non-overlay) congestion states, so this also
-                # graduates overlay-born entries into the fast path.
-                entry.epoch = congestion.epoch
                 if i:
                     entries.insert(0, entries.pop(i))
                 self.stats.cache_hits += 1
@@ -431,7 +408,6 @@ class Router:
                 for candidate_entry in shared.entries.get(key, ()):
                     if self._reads_match(candidate_entry.reads, congestion):
                         shared_entry = candidate_entry
-                        shared.hits += 1
                         break
             if shared_entry is not None:
                 # A cross-run hit: every channel occupancy the stored search
@@ -440,13 +416,7 @@ class Router:
                 self.stats.cache_hits += 1
                 self.stats.shared_hits += 1
                 plan = shared_entry.plan
-                entry = _CacheEntry(
-                    plan,
-                    congestion.epoch,
-                    shared_entry.regions,
-                    shared_entry.reads,
-                    shared_entry.result,
-                )
+                entry = _CacheEntry(plan, shared_entry.reads, shared_entry.result)
                 self._store_local(key, entry)
                 if plan is None and cut is not None:
                     self._serve_failure_cut(entry, qubit, key, congestion, cut)
@@ -454,7 +424,6 @@ class Router:
                     plan = replace(plan, qubit=qubit)
                 return plan
         self.stats.cache_misses += 1
-        regions: set[int] = set()
         reads: set = set()
         result_out: list = []
         probe: set | None = set() if cut is not None else None
@@ -464,7 +433,6 @@ class Router:
             target_trap_id,
             congestion,
             cut=probe,
-            regions_out=regions,
             read_out=reads,
             warm_start=stale_result,
             use_landmarks=True,
@@ -476,32 +444,11 @@ class Router:
             cut.update(probe)
         result = result_out[0] if result_out else None
         snapshot = self._snapshot_reads(reads, congestion)
-        entry = _CacheEntry(
-            plan, congestion.epoch, frozenset(regions), snapshot, result, failure_cut
-        )
+        entry = _CacheEntry(plan, snapshot, result, failure_cut)
         self._store_local(key, entry)
         if shared is not None:
             self._store_shared(shared, key, entry)
         return plan
-
-    def _entry_valid(self, entry, congestion: CongestionTracker) -> bool:
-        """Whether a cache entry's plan still replays byte-identically.
-
-        Fast path: no footprint region changed since the entry's epoch
-        (O(|regions|) stamp compares).  Slow path: every channel the search
-        read still holds its snapshot occupancy — a state-based check that
-        also validates across balanced reserve/release churn the region
-        stamps cannot see through.  Entries stamped ``epoch == -1`` (born
-        under an overlay) skip the fast path entirely.  Does **not**
-        re-stamp the entry; demand lookups re-stamp on success themselves
-        (unsound during overlay scopes, whose callers therefore use this
-        check alone).
-        """
-        if entry.epoch >= 0 and congestion.regions_unchanged_since(
-            entry.regions, entry.epoch
-        ):
-            return True
-        return self._reads_match(entry.reads, congestion)
 
     def _snapshot_reads(self, reads: set, congestion: CongestionTracker) -> tuple:
         """Freeze a search's channel read set into a sorted occupancy tuple."""
@@ -526,13 +473,10 @@ class Router:
             stored = shared.entries.setdefault(key, [])
             if not any(e.reads == entry.reads for e in stored):
                 stored.insert(
-                    0,
-                    SharedRouteEntry(
-                        entry.plan, entry.regions, entry.reads, entry.result
-                    ),
+                    0, SharedRouteEntry(entry.plan, entry.reads, entry.result)
                 )
                 del stored[MAX_SHARED_SNAPSHOTS_PER_PAIR:]
-            shared.stores += 1
+                shared.stores += 1
 
     def _serve_failure_cut(
         self,
@@ -561,7 +505,11 @@ class Router:
 
     @staticmethod
     def _reads_match(reads: tuple, congestion: CongestionTracker) -> bool:
-        """Whether every snapshot occupancy equals the current state."""
+        """Whether a cache entry's plan still replays byte-identically.
+
+        True when every channel in the snapshot still holds its recorded
+        occupancy.  An empty snapshot never validates.
+        """
         if not reads:
             return False
         occupancy = congestion.occupancy
@@ -578,7 +526,6 @@ class Router:
         congestion: CongestionTracker,
         cut: set | None = None,
         *,
-        regions_out: set | None = None,
         read_out: set | None = None,
         warm_start=None,
         use_landmarks: bool = False,
@@ -586,10 +533,10 @@ class Router:
     ) -> RoutePlan | None:
         """One cache-less planning query on the compiled kernel.
 
-        The ``*_out`` collectors receive the search's region footprint,
-        channel read set and raw kernel result (what a cache entry needs to
-        validate and warm-start later); ``warm_start`` bounds the search by
-        a stale route's re-costed total.
+        The ``*_out`` collectors receive the search's channel read set and
+        raw kernel result (what a cache entry needs to validate and
+        warm-start later); ``warm_start`` bounds the search by a stale
+        route's re-costed total.
         """
         if source_trap_id == target_trap_id:
             return stationary_plan(qubit, source_trap_id)
@@ -605,15 +552,9 @@ class Router:
                 self.fabric, self.technology, qubit, source, target, None, ()
             )
 
-        if regions_out is not None:
-            # The endpoint channels shape the attachment costs and the
-            # trivial failure checks below, so every outcome of this query
-            # depends on (at least) their regions.
-            grid = congestion.regions
-            regions_out.add(grid.region_of(source.channel_id))
-            regions_out.add(grid.region_of(target.channel_id))
         if read_out is not None:
-            # Likewise their occupancies: every outcome below reads them.
+            # The endpoint channels shape the attachment costs and the
+            # trivial failure checks below: every outcome reads them.
             read_out.add(source.channel_id)
             read_out.add(target.channel_id)
 
@@ -639,11 +580,8 @@ class Router:
                 # fabric keeps probing outlive the eviction horizon.
                 self._cut_hints[key] = self._cut_hints.pop(key)
                 if all(congestion.is_full(c) for c in hint):
-                    if regions_out is not None:
-                        # This outcome reads the hint channels' occupancy.
-                        grid = congestion.regions
-                        regions_out.update(grid.region_of(c) for c in hint)
                     if read_out is not None:
+                        # This outcome reads the hint channels' occupancy.
                         read_out.update(hint)
                     cut.update(hint)
                     return None
@@ -672,7 +610,6 @@ class Router:
             turn_aware_costing=self.policy.turn_aware,
             stats=self.stats,
             blocked_channels=probe,
-            regions_out=regions_out,
             read_out=read_out,
             cost_bound=cost_bound,
             use_landmarks=use_landmarks,
@@ -890,7 +827,6 @@ class Router:
         if serial:
             legs.append((dest_name, dest_trap))
         shared = self.shared_store
-        grid = congestion.regions
         for qubit, origin_id in legs:
             origin = self.fabric.trap(origin_id)
             if congestion.is_full(origin.channel_id):
@@ -927,7 +863,6 @@ class Router:
             groups = [
                 self._attachment_costs(candidate, congestion) for _, candidate in jobs
             ]
-            regions: set[int] = set()
             reads: set = set()
             results = self.compiled.shortest_routes_batch(
                 sources,
@@ -936,21 +871,16 @@ class Router:
                 technology,
                 turn_aware_costing=True,
                 stats=self.stats,
-                regions_out=regions,
                 read_out=reads,
                 use_landmarks=True,
             )
-            regions.add(grid.region_of(origin.channel_id))
             reads.add(origin.channel_id)
             for _, candidate in jobs:
-                regions.add(grid.region_of(candidate.channel_id))
                 reads.add(candidate.channel_id)
-            # The union footprint/read set over all groups: a superset of
-            # each group's own reads, so per-entry validation stays sound
-            # (merely a little stricter than a dedicated query's would be).
-            footprint = frozenset(regions)
+            # The union read set over all groups: a superset of each group's
+            # own reads, so per-entry validation stays sound (merely a little
+            # stricter than a dedicated query's would be).
             snapshot = self._snapshot_reads(reads, congestion)
-            epoch = congestion.epoch
             for (key, candidate), result in zip(jobs, results):
                 if result is None:
                     continue
@@ -963,7 +893,7 @@ class Router:
                     result.entry_node[0],
                     result.edges,
                 )
-                entry = _CacheEntry(plan, epoch, footprint, snapshot, result)
+                entry = _CacheEntry(plan, snapshot, result)
                 self._store_local(key, entry)
                 if shared is not None:
                     self._store_shared(shared, key, entry)
@@ -977,20 +907,16 @@ class Router:
     ) -> RoutePlan | None:
         """Destination-leg planning under a source overlay.
 
-        The overlay congestion state is transient by construction, so the
-        query must neither store cache entries nor re-stamp existing ones
-        (the scope's ``restore_state`` rewinds the region stamps, which
-        would turn a transient re-stamp into a stale fast-path validation).
-        *Reading* a cached entry is still sound whenever it validates
-        against the overlay state — :meth:`_entry_valid` holding means a
-        fresh search here would return a byte-identical plan — and in
-        practice most overlays leave the destination leg's read set
-        untouched, so this turns the hottest remaining flood into an O(1)
-        lookup.  A miss computes fresh and stores the outcome as an
-        ``epoch == -1`` entry: the snapshot captures the overlay
-        occupancies the search read, so the entry validates exactly when a
-        later state (overlay or not) matches them, and the disabled region
-        fast path keeps the rewound region stamps from mis-validating it.
+        Cached entries validate against the transient overlay state exactly
+        as against any other: a snapshot match means a fresh search here
+        would return a byte-identical plan.  Most overlays leave the
+        destination leg's read set untouched, so this turns the hottest
+        remaining flood into an O(1) lookup.  A miss computes fresh and
+        stores the outcome; its snapshot captures the overlay occupancies
+        the search read, so the entry validates exactly when a later state
+        (overlay or not) matches them.  Unlike :meth:`plan_qubit_route`,
+        the lookup does not reorder the MRU list, and failures carry no
+        blocking cut (the caller records :data:`ANY_CONGESTION_CHANGE`).
         """
         if source_trap_id == target_trap_id:
             return stationary_plan(qubit, source_trap_id)
@@ -998,7 +924,7 @@ class Router:
         entries = self._route_cache.get(key)
         if entries:
             for entry in entries:
-                if self._entry_valid(entry, congestion):
+                if self._reads_match(entry.reads, congestion):
                     self.stats.cache_hits += 1
                     plan = entry.plan
                     if plan is not None and plan.qubit != qubit:
@@ -1011,22 +937,17 @@ class Router:
                 for candidate_entry in shared.entries.get(key, ()):
                     if self._reads_match(candidate_entry.reads, congestion):
                         shared_entry = candidate_entry
-                        shared.hits += 1
                         break
             if shared_entry is not None:
                 # Snapshot match against the *overlay* state: a fresh search
                 # would replay the stored answer byte-for-byte.  Seed the
-                # local list as an overlay-born entry (epoch == -1).
+                # local list with it.
                 self.stats.cache_hits += 1
                 self.stats.shared_hits += 1
                 self._store_local(
                     key,
                     _CacheEntry(
-                        shared_entry.plan,
-                        -1,
-                        shared_entry.regions,
-                        shared_entry.reads,
-                        shared_entry.result,
+                        shared_entry.plan, shared_entry.reads, shared_entry.result
                     ),
                 )
                 plan = shared_entry.plan
@@ -1034,7 +955,6 @@ class Router:
                     plan = replace(plan, qubit=qubit)
                 return plan
         self.stats.cache_misses += 1
-        regions: set[int] = set()
         reads: set = set()
         result_out: list = []
         plan = self._plan_qubit_route_uncached(
@@ -1042,7 +962,6 @@ class Router:
             source_trap_id,
             target_trap_id,
             congestion,
-            regions_out=regions,
             read_out=reads,
             warm_start=entries[0].result if entries else None,
             use_landmarks=True,
@@ -1050,8 +969,6 @@ class Router:
         )
         entry = _CacheEntry(
             plan,
-            -1,
-            frozenset(regions),
             self._snapshot_reads(reads, congestion),
             result_out[0] if result_out else None,
         )
@@ -1114,12 +1031,10 @@ class Router:
         # reservations so the destination qubit's path selection sees the
         # extra congestion and the pair never exceeds channel capacity.  The
         # reserve/release pair is balanced, so the pre-scope epoch is
-        # restored afterwards and the route cache stays valid across the
-        # scope; the destination query neither stores nor re-stamps regular
-        # cache entries (its overlay congestion state is transient by
-        # construction, see :meth:`_overlay_route`).
+        # restored afterwards (see :meth:`_overlay_route` for how the
+        # destination query uses the route cache under the overlay).
         reserved: list[ChannelId] = []
-        state_before = congestion.capture_state()
+        epoch_before = congestion.epoch
         try:
             for channel_id in source_plan.channels_used:
                 if congestion.is_full(channel_id):
@@ -1134,11 +1049,7 @@ class Router:
         finally:
             for channel_id in reversed(reserved):
                 congestion.release(channel_id)
-            # Restore the global epoch *and* the region stamps: the balanced
-            # reserve/release pair is invisible to every epoch- and
-            # region-tagged consumer, so the route cache stays valid across
-            # the scope.
-            congestion.restore_state(state_before)
+            congestion.restore_epoch(epoch_before)
         if dest_plan is None:
             # The destination leg failed *under the source overlay*: a
             # different source-route choice might have left room, and any

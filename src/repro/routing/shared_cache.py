@@ -14,10 +14,9 @@ search is a pure function of those occupancies given the fabric geometry,
 the technology's delay parameters and the routing policy, so the entry may
 be served to *any* tracker of the same scenario whose current occupancies
 all equal the snapshot — including non-idle states, which is what makes the
-store actually hit under load.  It is default-on in service workers.  Each
-entry also carries the spatial-region footprint of its search (see
-:mod:`repro.routing.regions`) to seed the borrowing router's
-region-stamped local cache.
+store actually hit under load.  It is default-on in service workers.  A
+hit also seeds the borrowing router's local cache with the entry, so the
+same validity rule then serves it locally.
 
 :class:`SharedRouteStore` memoises on the fabric instance, keyed by
 ``(technology, policy)`` — both frozen dataclasses — so every router on the
@@ -48,8 +47,6 @@ class SharedRouteEntry:
     Attributes:
         plan: The route plan (``None`` marks an unroutable pair; consumers
             rebind the qubit name on retrieval).
-        regions: Region footprint the search touched; seeds the borrowing
-            router's local entry so its region fast path works immediately.
         reads: Sorted ``(channel id, occupancy)`` pairs over every channel
             the search *read*.  The entry is valid for a tracker iff each
             channel's current occupancy equals its snapshot value — the
@@ -62,8 +59,7 @@ class SharedRouteEntry:
     """
 
     plan: RoutePlan | None
-    regions: frozenset[int]
-    reads: tuple = ()
+    reads: tuple
     result: "DijkstraResult | None" = None
 
 
@@ -74,15 +70,16 @@ class SharedRouteStore:
     Attributes:
         entries: ``(source trap, target trap)`` to an MRU-ordered list of
             :class:`SharedRouteEntry` (one per distinct stored occupancy
-            state), each validated by snapshot match.
-        hits: Number of plans served from the store.
-        stores: Number of plans written into the store.
+            state), each validated by snapshot match.  Hits are counted in
+            the borrowing router's
+            :attr:`~repro.routing.compiled.RoutingCoreStats.shared_hits`.
+        stores: Number of entries inserted; publishing a snapshot already
+            stored for the pair does not count.
     """
 
     entries: "dict[tuple[TrapId, TrapId], list[SharedRouteEntry]]" = field(
         default_factory=dict
     )
-    hits: int = 0
     stores: int = 0
     #: Guards concurrent access from a thread-mode worker pool.  Plan
     #: computation stays outside the lock; a racing double-compute writes

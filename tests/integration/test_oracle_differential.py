@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracle import OracleRouter, OracleSimulator
+from repro.circuits.circuit import QuantumCircuit
 from repro.fabric.builder import FabricSpec, build_fabric, small_fabric
 from repro.mapper.options import MapperOptions
 from repro.pipeline.circuits import resolve_circuit
@@ -30,6 +31,7 @@ from repro.pipeline.stages import MappingPipeline
 from repro.pipeline.technologies import resolve_technology
 from repro.routing.congestion import CongestionTracker
 from repro.routing.router import Router
+from repro.routing.shared_cache import SharedRouteStore
 
 SCHEDULERS = ("qspr", "quale-alap", "qpos-dependents", "qpos-path-delay")
 TECHNOLOGIES = ("paper", "cap-1", "fast-turn")
@@ -163,46 +165,118 @@ _PROP_FABRIC = build_fabric(
 )
 _PROP_CHANNELS = sorted(_PROP_FABRIC.channels)
 _PROP_TRAPS = sorted(_PROP_FABRIC.traps)
+_PROP_CIRCUIT = QuantumCircuit()
+_PROP_CIRCUIT.add_qubit("a")
+_PROP_CIRCUIT.add_qubit("b")
+_PROP_INSTRUCTION = _PROP_CIRCUIT.cx("a", "b")
 
 
 class TestSnapshotInvalidationProperty:
     """Cache invalidation soundness under arbitrary congestion churn.
 
-    The oracle router plans every query from scratch; the production router
-    runs the full cache stack.  If a region stamp or occupancy snapshot ever
-    validated a plan whose read channels changed, the served plan would
-    diverge from the fresh one on some interleaving — hypothesis searches
-    for exactly that.
+    The oracle router plans every query from scratch; the production routers
+    run the full cache stack.  If an occupancy snapshot ever validated a plan
+    whose read channels changed, the served plan would diverge from the
+    fresh one on some interleaving — hypothesis searches for exactly that.
+    Queries cover single legs (:meth:`Router.plan_qubit_route`) and whole
+    two-qubit instructions (:meth:`Router.plan_instruction`), which also
+    drive the destination leg under the source overlay, the batched
+    candidate prefill and the failure paths.
     """
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.data())
-    def test_served_plans_equal_fresh_computation(self, data):
-        cached = Router(_PROP_FABRIC)
+    @staticmethod
+    def _churn(data, routers):
         reference = OracleRouter(_PROP_FABRIC)
         congestion = CongestionTracker(_PROP_FABRIC, channel_capacity=2)
         reserved: list = []
+        # A few traps per example, so queries revisit the same trap pairs
+        # (and their cache entries) under changed congestion.
+        traps = data.draw(
+            st.lists(
+                st.sampled_from(_PROP_TRAPS), min_size=3, max_size=6, unique=True
+            ),
+            label="traps",
+        )
         for _ in range(data.draw(st.integers(8, 30), label="ops")):
             op = data.draw(
-                st.sampled_from(("reserve", "release", "query", "query")), label="op"
+                st.sampled_from(
+                    ("reserve", "reserve", "release", "query", "instruction")
+                ),
+                label="op",
             )
             if op == "reserve":
                 channel = data.draw(st.sampled_from(_PROP_CHANNELS), label="ch")
-                if not congestion.is_full(channel):
-                    congestion.reserve(channel)
-                    reserved.append(channel)
+                # Up to a full channel at once, so failures and blocking
+                # cuts show up within a short op sequence.
+                for _ in range(data.draw(st.integers(1, 2), label="slots")):
+                    if not congestion.is_full(channel):
+                        congestion.reserve(channel)
+                        reserved.append(channel)
             elif op == "release":
                 if reserved:
                     index = data.draw(
                         st.integers(0, len(reserved) - 1), label="idx"
                     )
                     congestion.release(reserved.pop(index))
-            else:
-                source = data.draw(st.sampled_from(_PROP_TRAPS), label="src")
-                target = data.draw(st.sampled_from(_PROP_TRAPS), label="tgt")
-                served = cached.plan_qubit_route("q", source, target, congestion)
+            elif op == "query":
+                source = data.draw(st.sampled_from(traps), label="src")
+                target = data.draw(st.sampled_from(traps), label="tgt")
                 fresh = reference.plan_qubit_route("q", source, target, congestion)
-                assert served == fresh, (
-                    f"cached plan diverged for {source}->{target} under "
-                    f"occupancies {congestion.snapshot()}"
+                for router in routers:
+                    served = router.plan_qubit_route("q", source, target, congestion)
+                    assert served == fresh, (
+                        f"cached plan diverged for {source}->{target} under "
+                        f"occupancies {congestion.snapshot()}"
+                    )
+            else:
+                source, dest = data.draw(
+                    st.lists(
+                        st.sampled_from(traps), min_size=2, max_size=2, unique=True
+                    ),
+                    label="operands",
                 )
+                occupied = data.draw(
+                    st.sets(st.sampled_from(_PROP_TRAPS), max_size=12),
+                    label="occupied",
+                )
+                positions = {"a": source, "b": dest}
+                fresh = reference.plan_instruction(
+                    _PROP_INSTRUCTION, positions, congestion,
+                    occupied_traps=occupied, blockers=set(),
+                )
+                for router in routers:
+                    served = router.plan_instruction(
+                        _PROP_INSTRUCTION, positions, congestion,
+                        occupied_traps=occupied, blockers=set(),
+                    )
+                    assert served == fresh, (
+                        f"cached instruction route diverged for {positions} "
+                        f"under occupancies {congestion.snapshot()}"
+                    )
+                if fresh is None:
+                    continue
+                # Each operand's leg to the chosen meeting trap, replanned
+                # alone at the real state: the destination leg's cached entry
+                # was born under the source overlay and must not serve here
+                # unless its snapshot matches.
+                for name, origin in positions.items():
+                    leg = reference.plan_qubit_route(
+                        name, origin, fresh.target_trap, congestion
+                    )
+                    for router in routers:
+                        assert router.plan_qubit_route(
+                            name, origin, fresh.target_trap, congestion
+                        ) == leg, f"leg {origin}->{fresh.target_trap} diverged"
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_served_plans_equal_fresh_computation(self, data):
+        self._churn(data, [Router(_PROP_FABRIC)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_routers_sharing_a_store_serve_fresh_plans(self, data):
+        # Every query goes to both routers in turn, so the second one's local
+        # misses are answered from the plans the first published.
+        store = SharedRouteStore()
+        self._churn(data, [Router(_PROP_FABRIC, shared_store=store) for _ in range(2)])

@@ -7,7 +7,8 @@ simulator skips issue polls whose retries its wake sets prove futile.  Every
 one of those layers claims to change *work*, never *results*.  The oracle
 drops all of them:
 
-* :class:`OracleRouter` plans every leg with one plain, cache-less,
+* :class:`OracleRouter` plans every leg — the destination leg under the
+  dual-operand source overlay included — with one plain, cache-less,
   landmark-free search on the compiled kernel (whose routes the
   kernel-level tests hold equal to :func:`repro.routing.dijkstra.
   shortest_route`);
@@ -15,9 +16,10 @@ drops all of them:
   at every event timestamp, retrying every parked instruction without ever
   consulting a wake set.
 
-Differential tests compare production against these two, so a cache that
-served a stale plan or a wake set that slept through a routable retry shows
-up as a diverging schedule.
+Differential tests compare production against these two — whole mappings,
+and single legs and instructions under random congestion churn — so a cache
+that served a stale plan or a wake set that slept through a routable retry
+shows up as a diverging answer.
 """
 
 from __future__ import annotations

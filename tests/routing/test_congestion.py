@@ -126,3 +126,14 @@ class TestEpoch:
     def test_restore_epoch_rejects_future_epochs(self, tracker):
         with pytest.raises(RoutingError):
             tracker.restore_epoch(tracker.epoch + 1)
+
+    def test_balanced_mutations_restore_the_occupancy_snapshot(self, tracker):
+        # Route-cache entries are validated by occupancy, not by epoch: a
+        # balanced sequence leaves every occupancy where it was.
+        tracker.reserve(("h", 0, 0))
+        before = tracker.snapshot()
+        tracker.reserve(("h", 0, 0))
+        tracker.reserve(("h", 0, 1))
+        tracker.release(("h", 0, 1))
+        tracker.release(("h", 0, 0))
+        assert tracker.snapshot() == before

@@ -178,6 +178,10 @@ class TestRouteCache:
         assert router.stats.cache_hits == 1
         assert second == first
 
+    def test_empty_snapshot_never_validates(self, congestion):
+        # An entry that recorded no reads carries no evidence of validity.
+        assert not Router._reads_match((), congestion)
+
     def test_hit_for_other_qubit_rebinds_name_only(self, router, congestion, small_fabric_4x4):
         source, target = self._distant_pair(small_fabric_4x4)
         first = router.plan_qubit_route("q", source, target, congestion)
@@ -294,3 +298,119 @@ class TestRouteCache:
         # The balanced temporary reservations of dual-operand planning must
         # not advance the epoch, so cached plans stay valid afterwards.
         assert congestion.epoch == epoch
+
+
+class TestSnapshotRule:
+    """A cache entry is valid iff every channel its search read is unchanged."""
+
+    @pytest.fixture
+    def router(self, small_fabric_4x4):
+        return Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
+
+    @pytest.fixture
+    def congestion(self, small_fabric_4x4):
+        return CongestionTracker(small_fabric_4x4, 2)
+
+    def _short_pair(self, fabric):
+        # A short journey: its search reads only a few channels of the
+        # fabric, leaving unread ones to put traffic on.
+        traps = sorted(fabric.traps)
+        return traps[0], traps[5]
+
+    def _entries(self, router, key):
+        return router._route_cache[key]
+
+    def test_snapshot_holds_sorted_reads_at_their_current_occupancy(self, router, congestion, small_fabric_4x4):
+        congestion.reserve(("h", 0, 1))
+        key = self._short_pair(small_fabric_4x4)
+        plan = router.plan_qubit_route("q", *key, congestion)
+        (entry,) = self._entries(router, key)
+        channels = [channel for channel, _ in entry.reads]
+        assert channels == sorted(set(channels))
+        assert all(occ == congestion.occupancy(ch) for ch, occ in entry.reads)
+        # The endpoint traps' channels and every channel on the route were read.
+        endpoints = {small_fabric_4x4.trap(trap).channel_id for trap in key}
+        assert endpoints | set(plan.channels_used) <= set(channels)
+
+    def test_traffic_on_unread_channels_keeps_the_entry_valid(self, router, congestion, small_fabric_4x4):
+        key = self._short_pair(small_fabric_4x4)
+        first = router.plan_qubit_route("q", *key, congestion)
+        (entry,) = self._entries(router, key)
+        read = {channel for channel, _ in entry.reads}
+        unread = sorted(set(small_fabric_4x4.channels) - read)
+        assert unread, "the short search must leave channels unread"
+        for channel_id in unread:
+            congestion.reserve(channel_id)
+        assert router.plan_qubit_route("q", *key, congestion) == first
+        assert (router.stats.cache_hits, router.stats.cache_misses) == (1, 1)
+
+    def test_any_change_to_a_read_channel_invalidates_the_entry(self, router, congestion, small_fabric_4x4):
+        key = self._short_pair(small_fabric_4x4)
+        router.plan_qubit_route("q", *key, congestion)
+        (entry,) = self._entries(router, key)
+        for channel_id, _ in entry.reads:
+            congestion.reserve(channel_id)
+            assert not Router._reads_match(entry.reads, congestion)
+            congestion.release(channel_id)
+            assert Router._reads_match(entry.reads, congestion)
+
+    def test_a_state_the_fabric_returns_to_hits_its_older_entry(self, router, congestion, small_fabric_4x4):
+        key = self._short_pair(small_fabric_4x4)
+        idle_plan = router.plan_qubit_route("q", *key, congestion)
+        (channel_id, _), *_ = self._entries(router, key)[0].reads
+        congestion.reserve(channel_id)
+        router.plan_qubit_route("q", *key, congestion)
+        assert router.stats.cache_misses == 2
+        congestion.release(channel_id)
+        # The epoch moved on, but the occupancies the idle search read are
+        # back, so the idle entry serves again and moves to the MRU front.
+        assert router.plan_qubit_route("q", *key, congestion) == idle_plan
+        assert (router.stats.cache_hits, router.stats.cache_misses) == (1, 2)
+        assert self._entries(router, key)[0].plan == idle_plan
+
+    def test_snapshot_list_is_capped_per_pair(self, router, small_fabric_4x4):
+        from repro.routing.router import MAX_SNAPSHOTS_PER_PAIR
+
+        congestion = CongestionTracker(small_fabric_4x4, MAX_SNAPSHOTS_PER_PAIR + 2)
+        key = self._short_pair(small_fabric_4x4)
+        source_channel = small_fabric_4x4.trap(key[0]).channel_id
+        router.plan_qubit_route("q", *key, congestion)
+        idle_reads = self._entries(router, key)[0].reads
+        # Every search reads its source channel, so each extra qubit booked
+        # there is a new state: the query misses and pushes an entry.
+        for _ in range(MAX_SNAPSHOTS_PER_PAIR):
+            congestion.reserve(source_channel)
+            router.plan_qubit_route("q", *key, congestion)
+        assert router.stats.cache_misses == MAX_SNAPSHOTS_PER_PAIR + 1
+        entries = self._entries(router, key)
+        assert len(entries) == MAX_SNAPSHOTS_PER_PAIR
+        assert all(entry.reads != idle_reads for entry in entries)
+        # The idle entry was evicted oldest-first, so the idle state misses.
+        for _ in range(MAX_SNAPSHOTS_PER_PAIR):
+            congestion.release(source_channel)
+        router.plan_qubit_route("q", *key, congestion)
+        assert router.stats.cache_misses == MAX_SNAPSHOTS_PER_PAIR + 2
+
+    def test_entries_born_under_the_overlay_serve_only_matching_states(self, small_fabric_4x4, two_qubit_instruction):
+        # Dual-operand planning caches legs computed under the other
+        # operand's temporary reservations.  After the overlay is lifted,
+        # every entry that still validates must replay a fresh search.
+        router = Router(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
+        oracle = OracleRouter(small_fabric_4x4, PAPER_TECHNOLOGY, RoutingPolicy())
+        congestion = CongestionTracker(small_fabric_4x4, 2)
+        traps = sorted(small_fabric_4x4.traps)
+        for channel_id in sorted(small_fabric_4x4.channels)[1::4]:
+            congestion.reserve(channel_id)
+        positions = {"a": traps[0], "b": traps[-1]}
+        route = router.plan_instruction(two_qubit_instruction, positions, congestion)
+        assert route == oracle.plan_instruction(two_qubit_instruction, positions, congestion)
+        checked = 0
+        for key, entries in router._route_cache.items():
+            for entry in entries:
+                if Router._reads_match(entry.reads, congestion):
+                    fresh = oracle.plan_qubit_route("q", *key, congestion)
+                    assert (entry.plan is None) == (fresh is None)
+                    if fresh is not None:
+                        assert entry.plan.steps == fresh.steps
+                    checked += 1
+        assert checked > 0
