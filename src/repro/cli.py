@@ -4,9 +4,7 @@ The subcommands cover the single-shot, batch, benchmarking, discovery and
 service workflows:
 
 * ``qspr-map run`` — map one QASM file (or registered benchmark circuit)
-  onto an ion-trap fabric and print the latency report.  For backward
-  compatibility the subcommand may be omitted: ``qspr-map --benchmark
-  "[[5,1,3]]"`` is equivalent to ``qspr-map run --benchmark "[[5,1,3]]"``.
+  onto an ion-trap fabric and print the latency report.
 * ``qspr-map sweep`` — expand a mappers × placers × circuits × seeds grid,
   execute it (process-parallel with ``--jobs``, cached on disk) and write
   JSON + CSV results plus a latency comparison table.  Ctrl-C is graceful:
@@ -45,7 +43,7 @@ built-ins.
 
 Examples::
 
-    qspr-map --benchmark "[[5,1,3]]"
+    qspr-map run --benchmark "[[5,1,3]]"
     qspr-map run circuit.qasm --mapper quale --fabric-rows 12 --fabric-cols 22
     qspr-map run --benchmark ghz --fabric small --placer center
     qspr-map run --benchmark ghz --technology fast-turn --scheduler quale-alap
@@ -108,13 +106,6 @@ from repro.runner import (
     write_json,
 )
 from repro.viz.trace_render import render_gantt
-
-#: Subcommand names; anything else on the command line means legacy ``run``.
-_COMMANDS = (
-    "run", "sweep", "report", "bench", "list",
-    "serve", "submit", "status", "jobs", "cancel", "cache",
-    "replay", "loadgen", "top",
-)
 
 #: Default URL of the service client subcommands.
 _DEFAULT_URL = "http://127.0.0.1:8321"
@@ -1088,20 +1079,10 @@ def _command_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _normalise_argv(argv: list[str]) -> list[str]:
-    """Map legacy no-subcommand invocations onto ``run``."""
-    if not argv:
-        return ["run"]
-    first = argv[0]
-    if first in _COMMANDS or first in ("-h", "--help", "--version"):
-        return argv
-    return ["run", *argv]
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point of the ``qspr-map`` console script."""
     parser = build_parser()
-    args = parser.parse_args(_normalise_argv(list(sys.argv[1:] if argv is None else argv)))
+    args = parser.parse_args(argv)
     handler = {
         "run": _command_run,
         "sweep": _command_sweep,

@@ -9,29 +9,12 @@ concrete mappers live next to the mappers themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass
 
 from repro.errors import MappingError
 from repro.routing.router import MeetingPoint, RoutingPolicy
 from repro.scheduling.policies import SchedulingPolicy
-from repro.scheduling.priority import PriorityPolicy
 from repro.technology import PAPER_TECHNOLOGY, TechnologyParams
-
-
-class PlacerKind(Enum):
-    """The built-in placement algorithms.
-
-    Kept for backwards compatibility and convenient literals; the canonical
-    identifier of a placer is its *registry name* (the enum value), which is
-    what :data:`repro.pipeline.PLACERS` is keyed by.  Custom placers have no
-    enum member — pass their registry name as a plain string wherever a
-    placer is selected (``MapperOptions(placer="my-placer")``).
-    """
-
-    MVFB = "mvfb"
-    MONTE_CARLO = "monte-carlo"
-    CENTER = "center"
 
 
 @dataclass(frozen=True)
@@ -40,13 +23,9 @@ class MapperOptions:
 
     Attributes:
         technology: Physical machine description (delays, capacities).
-        priority_policy: Scheduling policy selector — a
-            :class:`~repro.scheduling.policies.SchedulingPolicy`, a registry
-            name from :data:`repro.pipeline.SCHEDULERS` or a legacy
-            :class:`PriorityPolicy` member.
-        scheduler: Alias of ``priority_policy`` under its canonical name
-            (what specs, sweeps and the CLI call it); takes precedence over
-            ``priority_policy`` when both are given.
+        scheduler: Scheduling policy — a registry name from
+            :data:`repro.pipeline.SCHEDULERS` or a
+            :class:`~repro.scheduling.policies.SchedulingPolicy` object.
         barrier_scheduling: Schedule level-by-level (ALAP) before mapping, as
             the prior tools do, instead of interleaving scheduling with
             routing (QSPR).  Instructions of a level only issue after every
@@ -58,9 +37,9 @@ class MapperOptions:
         channel_capacity: Channel capacity override; ``None`` uses the
             technology's value (2 for the paper's QSPR, 1 for prior tools).
         trap_candidates: Number of nearest-to-median traps the router tries.
-        placer: Placement algorithm — a :class:`PlacerKind` member or the
-            registry name of any placer in :data:`repro.pipeline.PLACERS`
-            (which is how third-party placers are selected).
+        placer: Registry name of the placement algorithm in
+            :data:`repro.pipeline.PLACERS` (``"mvfb"``, ``"monte-carlo"``,
+            ``"center"`` or a third-party placer).
         num_seeds: MVFB's number of random seeds ``m``.
         num_placements: Monte-Carlo's number of placement runs ``m'``
             (required when ``placer`` is Monte-Carlo).
@@ -78,14 +57,13 @@ class MapperOptions:
     """
 
     technology: TechnologyParams = PAPER_TECHNOLOGY
-    priority_policy: PriorityPolicy | SchedulingPolicy | str = PriorityPolicy.QSPR
-    scheduler: SchedulingPolicy | PriorityPolicy | str | None = None
+    scheduler: SchedulingPolicy | str = "qspr"
     barrier_scheduling: bool = False
     turn_aware_routing: bool = True
     meeting_point: MeetingPoint = MeetingPoint.MEDIAN
     channel_capacity: int | None = None
     trap_candidates: int = 4
-    placer: PlacerKind | str = PlacerKind.MVFB
+    placer: str = "mvfb"
     num_seeds: int = 25
     num_placements: int | None = None
     mvfb_patience: int = 3
@@ -94,12 +72,8 @@ class MapperOptions:
     shared_route_cache: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.placer, PlacerKind) and (
-            not isinstance(self.placer, str) or not self.placer
-        ):
-            raise MappingError(
-                f"placer must be a PlacerKind or a registry name, got {self.placer!r}"
-            )
+        if not isinstance(self.placer, str) or not self.placer:
+            raise MappingError(f"placer must be a registry name, got {self.placer!r}")
         if self.num_seeds < 1:
             raise MappingError("num_seeds must be at least 1")
         if self.num_placements is not None and self.num_placements < 1:
@@ -110,29 +84,15 @@ class MapperOptions:
             raise MappingError("trap_candidates must be at least 1")
 
     @property
-    def placer_name(self) -> str:
-        """The placer's registry name (the key into ``repro.pipeline.PLACERS``)."""
-        return self.placer.value if isinstance(self.placer, PlacerKind) else self.placer
-
-    @property
-    def scheduler_selector(self) -> "SchedulingPolicy | PriorityPolicy | str":
-        """The effective scheduler choice (``scheduler`` wins over the alias)."""
-        return self.scheduler if self.scheduler is not None else self.priority_policy
-
-    @property
     def scheduler_name(self) -> str:
         """Registry name of the selected scheduling policy.
 
         This is what reports print and what the scheduler axis of specs and
-        sweeps carries; the legacy enum's values equal the registry names, so
-        both selector styles label identically.
+        sweeps carries.
         """
-        selector = self.scheduler_selector
-        if isinstance(selector, PriorityPolicy):
-            return selector.value
-        if isinstance(selector, SchedulingPolicy):
-            return selector.name
-        return selector
+        if isinstance(self.scheduler, SchedulingPolicy):
+            return self.scheduler.name
+        return self.scheduler
 
     def scheduling_policy(self) -> SchedulingPolicy:
         """The resolved :class:`SchedulingPolicy` strategy object.
@@ -145,7 +105,7 @@ class MapperOptions:
         # circular.
         from repro.pipeline.schedulers import resolve_scheduler
 
-        return resolve_scheduler(self.scheduler_selector, error=MappingError)
+        return resolve_scheduler(self.scheduler, error=MappingError)
 
     @property
     def effective_channel_capacity(self) -> int:
@@ -163,10 +123,6 @@ class MapperOptions:
             trap_candidates=self.trap_candidates,
         )
 
-    def with_placer(self, placer: PlacerKind | str, **changes) -> "MapperOptions":
-        """A copy of the options with a different placer (and other changes)."""
-        return replace(self, placer=placer, **changes)
-
     def describe(self) -> str:
         """One-line human-readable summary used in logs and reports.
 
@@ -175,13 +131,13 @@ class MapperOptions:
         Monte-Carlo placer — the placement-run budget ``m'``.
         """
         text = (
-            f"placer={self.placer_name} priority={self.scheduler_name} "
+            f"placer={self.placer} priority={self.scheduler_name} "
             f"barriers={self.barrier_scheduling} turn_aware={self.turn_aware_routing} "
             f"meeting={self.meeting_point.value} "
             f"capacity={self.effective_channel_capacity} "
             f"traps={self.trap_candidates} m={self.num_seeds}"
         )
-        if self.placer_name == PlacerKind.MONTE_CARLO.value:
+        if self.placer == "monte-carlo":
             text += f" m'={self.num_placements}"
         if self.shared_route_cache:
             text += " shared_routes=True"

@@ -29,6 +29,7 @@ import time
 
 from repro.ops.prom import quantile
 from repro.service.jobs import RUNNING
+from repro.service.metrics import service_metrics
 from repro.service.store import (
     QUEUE_WAIT_SERIES,
     STAGE_SERIES_PREFIX,
@@ -52,19 +53,12 @@ _SERIES_CAPTIONS = (
 def snapshot(store: JobStore, *, now: float | None = None) -> dict:
     """One JSON-ready dashboard frame (what ``top --once --json`` prints).
 
-    Keys: ``jobs`` (counts by status + total), ``queue_depth``, ``running``,
-    ``throughput_per_minute``, ``route_cache`` (hits/shared_hits/misses/
-    hit_rate),
-    ``latencies`` (per series: count, p50/p95 seconds, mean), ``workers``
-    (running jobs' leases) and ``schema_version``.
+    The :func:`~repro.service.metrics.service_metrics` document (the numbers
+    ``/metrics`` serves) plus ``ts``, ``schema_version``, ``latencies`` (per
+    series: count, p50/p95 seconds, mean) and ``workers`` (running jobs'
+    leases).
     """
-    from repro.service.metrics import THROUGHPUT_WINDOW
-
     now = time.time() if now is None else now
-    counts = store.counts()
-    done = store.done_aggregates(now=now, window=THROUGHPUT_WINDOW)
-    route_lookups = done["route_cache_hits"] + done["route_cache_misses"]
-
     latencies = {}
     for series, data in sorted(store.histograms().items()):
         bounds, cumulative = data["bounds"], data["cumulative"]
@@ -95,20 +89,7 @@ def snapshot(store: JobStore, *, now: float | None = None) -> dict:
     return {
         "ts": now,
         "schema_version": store.schema_version(),
-        "jobs": {**counts, "total": sum(counts.values())},
-        "queue_depth": counts["queued"],
-        "running": counts["running"],
-        "throughput_per_minute": done["finished_recently"],
-        "executed_jobs": done["finished"] - done["cache_served"],
-        "cache_served_jobs": done["cache_served"],
-        "route_cache": {
-            "hits": done["route_cache_hits"],
-            "shared_hits": done["route_cache_shared_hits"],
-            "misses": done["route_cache_misses"],
-            "hit_rate": (
-                done["route_cache_hits"] / route_lookups if route_lookups else 0.0
-            ),
-        },
+        **service_metrics(store, now=now),
         "latencies": latencies,
         "workers": workers,
     }

@@ -61,7 +61,7 @@ def _place_stage(ctx: PipelineContext) -> None:
     validated here and evaluated by the simulate stage; a strategy returning
     a :class:`~repro.pipeline.context.PlacementOutcome` already simulated.
     """
-    strategy = PLACERS.resolve(ctx.options.placer_name, error=MappingError)
+    strategy = PLACERS.resolve(ctx.options.placer, error=MappingError)
     produced = strategy(ctx)
     if isinstance(produced, PlacementOutcome):
         ctx.outcome = produced
@@ -70,7 +70,7 @@ def _place_stage(ctx: PipelineContext) -> None:
         ctx.placement = produced
     else:
         raise MappingError(
-            f"placer {ctx.options.placer_name!r} returned {type(produced).__name__}; "
+            f"placer {ctx.options.placer!r} returned {type(produced).__name__}; "
             "expected a Placement or a PlacementOutcome"
         )
 
@@ -89,7 +89,7 @@ def _simulate_stage(ctx: PipelineContext) -> None:
         return
     if ctx.placement is None:
         raise MappingError(
-            f"placer {ctx.options.placer_name!r} produced neither a placement nor an outcome"
+            f"placer {ctx.options.placer!r} produced neither a placement nor an outcome"
         )
     ctx.outcome = PlacementOutcome.from_simulation(ctx.simulate(ctx.placement))
     ctx.stage_seconds["simulate.routing"] = ctx.outcome.routing_seconds

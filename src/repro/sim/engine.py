@@ -64,7 +64,6 @@ from repro.routing.router import (
 )
 from repro.scheduling.busy_queue import BusyQueue
 from repro.scheduling.policies import SchedulingPolicy
-from repro.scheduling.priority import PriorityPolicy
 from repro.scheduling.ready import DependencyTracker
 from repro.sim.events import (
     BarrierLevelCleared,
@@ -174,8 +173,7 @@ class FabricSimulator:
         technology: TechnologyParams = PAPER_TECHNOLOGY,
         *,
         routing_policy: RoutingPolicy = QSPR_POLICY,
-        priority_policy: "PriorityPolicy | SchedulingPolicy | str" = PriorityPolicy.QSPR,
-        scheduler: "SchedulingPolicy | PriorityPolicy | str | None" = None,
+        scheduler: SchedulingPolicy | str = "qspr",
         forced_order: list[int] | None = None,
         qidg: QIDG | None = None,
         barrier_scheduling: bool = False,
@@ -188,13 +186,10 @@ class FabricSimulator:
             fabric: The fabric to execute it on.
             technology: Delay and capacity parameters.
             routing_policy: Router feature switches (QSPR vs legacy).
-            priority_policy: Scheduling policy selector — a
-                :class:`~repro.scheduling.policies.SchedulingPolicy`, a
-                registry name from :data:`repro.pipeline.SCHEDULERS` or a
-                legacy :class:`PriorityPolicy` member.  Ignored when a
-                ``forced_order`` is given.
-            scheduler: Alias of ``priority_policy`` under its canonical name;
-                takes precedence when both are passed.
+            scheduler: Scheduling policy — a registry name from
+                :data:`repro.pipeline.SCHEDULERS` or a
+                :class:`~repro.scheduling.policies.SchedulingPolicy` object.
+                Ignored when a ``forced_order`` is given.
             forced_order: Optional total issue order (a permutation of the
                 instruction indices).  Used by MVFB backward passes, which
                 replay the reversed schedule of the preceding forward pass.
@@ -220,8 +215,7 @@ class FabricSimulator:
         self.fabric = fabric
         self.technology = technology
         self.routing_policy = routing_policy
-        self.priority_policy = priority_policy if scheduler is None else scheduler
-        self.scheduler = _resolve_policy(self.priority_policy)
+        self.scheduler = _resolve_policy(scheduler)
         self.qidg = qidg if qidg is not None else build_qidg(circuit)
         if forced_order is not None and not self.qidg.is_valid_order(forced_order):
             raise SimulationError("forced_order is not a topological order of the QIDG")
@@ -288,9 +282,9 @@ class FabricSimulator:
 
 
 def _resolve_policy(
-    selector: "SchedulingPolicy | PriorityPolicy | str",
+    selector: SchedulingPolicy | str,
 ) -> SchedulingPolicy:
-    """The :class:`SchedulingPolicy` behind any of the selector spellings."""
+    """The :class:`SchedulingPolicy` named by ``selector`` (or ``selector`` itself)."""
     # Imported lazily: repro.pipeline imports this module (through the
     # pipeline context), so a module-level import would be circular.
     from repro.pipeline.schedulers import resolve_scheduler

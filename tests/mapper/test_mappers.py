@@ -6,22 +6,22 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.qecc import qecc_encoder
 from repro.errors import MappingError
 from repro.mapper.ideal import IdealBaseline
-from repro.mapper.options import MapperOptions, PlacerKind
+from repro.mapper.options import MapperOptions
 from repro.mapper.qpos import QposMapper, qpos_options
 from repro.mapper.qspr import QsprMapper
 from repro.mapper.quale import QualeMapper, quale_options
 from repro.routing.router import MeetingPoint
-from repro.scheduling.priority import PriorityPolicy
+from repro.scheduling.policies import QposPathDelayPolicy
 
 
 class TestMapperOptions:
     def test_defaults_are_qspr(self):
         options = MapperOptions()
-        assert options.priority_policy is PriorityPolicy.QSPR
+        assert options.scheduler == "qspr"
         assert options.turn_aware_routing
         assert options.meeting_point is MeetingPoint.MEDIAN
         assert options.effective_channel_capacity == 2
-        assert options.placer is PlacerKind.MVFB
+        assert options.placer == "mvfb"
 
     def test_channel_capacity_override(self):
         options = MapperOptions(channel_capacity=1)
@@ -36,9 +36,19 @@ class TestMapperOptions:
         with pytest.raises(MappingError):
             MapperOptions(channel_capacity=0)
 
-    def test_with_placer(self):
-        options = MapperOptions().with_placer(PlacerKind.CENTER)
-        assert options.placer is PlacerKind.CENTER
+    def test_scheduler_accepts_a_name_or_a_policy_object(self):
+        assert MapperOptions(scheduler="quale-alap").scheduler_name == "quale-alap"
+        policy = QposPathDelayPolicy()
+        options = MapperOptions(scheduler=policy)
+        assert options.scheduler_name == "qpos-path-delay"
+        assert options.scheduling_policy() is policy
+        with pytest.raises(MappingError, match="did you mean"):
+            MapperOptions(scheduler="qsper").scheduling_policy()
+
+    def test_placer_must_be_a_registry_name(self):
+        for placer in (None, "", MeetingPoint.MEDIAN):
+            with pytest.raises(MappingError, match="placer must be a registry name"):
+                MapperOptions(placer=placer)
 
     def test_describe_mentions_key_features(self):
         text = MapperOptions().describe()
@@ -47,17 +57,17 @@ class TestMapperOptions:
 
     def test_quale_preset(self):
         options = quale_options()
-        assert options.priority_policy is PriorityPolicy.QUALE_ALAP
+        assert options.scheduler == "quale-alap"
         assert options.barrier_scheduling
         assert not options.turn_aware_routing
         assert options.effective_channel_capacity == 1
-        assert options.placer is PlacerKind.CENTER
+        assert options.placer == "center"
 
     def test_qpos_preset(self):
         options = qpos_options()
-        assert options.priority_policy is PriorityPolicy.QPOS_DEPENDENTS
+        assert options.scheduler == "qpos-dependents"
         assert options.meeting_point is MeetingPoint.DESTINATION
-        assert qpos_options(path_delay_priority=True).priority_policy is PriorityPolicy.QPOS_PATH_DELAY
+        assert qpos_options(path_delay_priority=True).scheduler == "qpos-path-delay"
 
 
 class TestIdealBaseline:
@@ -76,7 +86,7 @@ class TestIdealBaseline:
 
 class TestQsprMapper:
     def test_center_placer_flow(self, calibrated_513, small_fabric_4x4):
-        result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(
+        result = QsprMapper(MapperOptions(placer="center")).map(
             calibrated_513, small_fabric_4x4
         )
         assert result.latency >= result.ideal_latency
@@ -92,7 +102,7 @@ class TestQsprMapper:
         result.final_placement.validate(calibrated_513, small_fabric_4x4)
 
     def test_mvfb_beats_or_matches_center(self, calibrated_513, small_fabric_4x4):
-        center = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(
+        center = QsprMapper(MapperOptions(placer="center")).map(
             calibrated_513, small_fabric_4x4
         )
         mvfb = QsprMapper(MapperOptions(num_seeds=3)).map(calibrated_513, small_fabric_4x4)
@@ -100,13 +110,13 @@ class TestQsprMapper:
 
     def test_monte_carlo_requires_num_placements(self, calibrated_513, small_fabric_4x4):
         with pytest.raises(MappingError):
-            QsprMapper(MapperOptions(placer=PlacerKind.MONTE_CARLO)).map(
+            QsprMapper(MapperOptions(placer="monte-carlo")).map(
                 calibrated_513, small_fabric_4x4
             )
 
     def test_monte_carlo_flow(self, calibrated_513, small_fabric_4x4):
         result = QsprMapper(
-            MapperOptions(placer=PlacerKind.MONTE_CARLO, num_placements=4)
+            MapperOptions(placer="monte-carlo", num_placements=4)
         ).map(calibrated_513, small_fabric_4x4)
         assert result.placement_runs == 4
 
@@ -130,7 +140,7 @@ class TestQsprMapper:
         circuit.cx(a, b)
         circuit.measure(a)
         circuit.measure(b)
-        result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(circuit, small_fabric_4x4)
+        result = QsprMapper(MapperOptions(placer="center")).map(circuit, small_fabric_4x4)
         assert len(result.records) == 4
 
     def test_schedule_covers_all_instructions(self, calibrated_513, small_fabric_4x4):
@@ -147,7 +157,7 @@ class TestQsprMapper:
         assert a.latency == b.latency
 
     def test_summary_mentions_latency(self, calibrated_513, small_fabric_4x4):
-        result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(
+        result = QsprMapper(MapperOptions(placer="center")).map(
             calibrated_513, small_fabric_4x4
         )
         assert "latency" in result.summary()
@@ -173,7 +183,7 @@ class TestBaselineMappers:
         assert qspr.improvement_over(quale) > 0
 
     def test_improvement_over_accepts_float(self, calibrated_513, small_fabric_4x4):
-        result = QsprMapper(MapperOptions(placer=PlacerKind.CENTER)).map(
+        result = QsprMapper(MapperOptions(placer="center")).map(
             calibrated_513, small_fabric_4x4
         )
         assert result.improvement_over(result.latency * 2) == pytest.approx(50.0)

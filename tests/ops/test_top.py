@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.ops.top import render, run_top, snapshot
 from repro.runner.results import CellResult
 from repro.runner.spec import ExperimentSpec
 from repro.service import JobStore
+from repro.service.metrics import service_metrics
 
 
 @pytest.fixture
@@ -65,6 +67,16 @@ class TestSnapshot:
             assert frame["latencies"][series]["p95_seconds"] >= 0.0
         assert frame["route_cache"]["hit_rate"] == pytest.approx(0.75)
         assert frame["route_cache"]["shared_hits"] == 2
+
+    def test_frame_reports_the_service_metrics_numbers(self, store, spec):
+        _finish_one_job(store, spec)
+        store.submit(ExperimentSpec("[[7,1,3]]", placer="center"))
+        now = time.time()
+        frame = snapshot(store, now=now)
+        for key, value in service_metrics(store, now=now).items():
+            assert frame[key] == value, key
+        assert frame["queue_depth"] == 1
+        assert frame["executed_jobs"] == 1
 
     def test_snapshot_round_trips_through_json(self, store, spec):
         _finish_one_job(store, spec)

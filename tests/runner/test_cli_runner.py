@@ -100,10 +100,17 @@ class TestTopLevel:
         assert excinfo.value.code == 0
         assert repro.__version__ in capsys.readouterr().out
 
-    def test_legacy_invocation_still_maps(self, capsys):
-        rc = main(["--benchmark", "[[5,1,3]]", "--placer", "center"])
-        assert rc == 0
-        assert "latency" in capsys.readouterr().out
+    def test_help_flag_works_without_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["-h"])
+        assert excinfo.value.code == 0
+        assert "run" in capsys.readouterr().out
+
+    def test_run_flags_without_the_subcommand_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--benchmark", "[[5,1,3]]", "--placer", "center"])
+        assert excinfo.value.code == 2
+        assert "latency" not in capsys.readouterr().out
 
     def test_explicit_run_subcommand(self, capsys):
         rc = main(["run", "--benchmark", "[[5,1,3]]", "--placer", "center"])

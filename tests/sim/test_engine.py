@@ -11,7 +11,7 @@ from repro.qidg.analysis import critical_path_latency
 from repro.qidg.graph import build_qidg
 from repro.qidg.uidg import reverse_schedule
 from repro.routing.router import MeetingPoint, RoutingPolicy
-from repro.scheduling.priority import PriorityPolicy
+from repro.scheduling.policies import PAPER_POLICIES
 from repro.sim.engine import FabricSimulator
 from repro.sim.microcode import CommandKind
 from repro.technology import PAPER_TECHNOLOGY
@@ -103,9 +103,17 @@ class TestSchedulingPolicies:
         assert barriers.latency >= free.latency
 
     def test_priority_policies_all_run(self, small_fabric_4x4, paper_circuit):
-        for policy in PriorityPolicy:
-            outcome = _simulate(paper_circuit, small_fabric_4x4, priority_policy=policy)
+        for policy in PAPER_POLICIES:
+            outcome = _simulate(paper_circuit, small_fabric_4x4, scheduler=policy.name)
             assert outcome.latency > 0
+
+    def test_scheduler_is_the_only_policy_argument(self, small_fabric_4x4, paper_circuit):
+        policy = PAPER_POLICIES[1]
+        simulator = FabricSimulator(paper_circuit, small_fabric_4x4, scheduler=policy)
+        assert simulator.scheduler is policy
+        assert FabricSimulator(paper_circuit, small_fabric_4x4).scheduler.name == "qspr"
+        with pytest.raises(TypeError):
+            FabricSimulator(paper_circuit, small_fabric_4x4, **{"priority" "_policy": "qspr"})
 
     def test_backward_pass_round_trip(self, small_fabric_4x4, paper_circuit):
         forward = _simulate(paper_circuit, small_fabric_4x4)
